@@ -9,7 +9,6 @@ failure under `realize --expect-realizable`.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .errors import NotConvexFunction, NotLatticePolytope
 from .fan import build_relu_fan, validate_fan, wall_groups
 from .jsonio import (
     decode_function,
+    decode_int,
     decode_network,
     decode_rational,
     decode_vector,
@@ -113,11 +113,16 @@ def _cmd_eval(job: JobSpec) -> JobResult:
     if not points:
         raise DocumentError("eval needs a nonempty 'points' list")
     neuron = job.document.get("neuron")
+    if neuron is not None:
+        if not isinstance(neuron, list) or len(neuron) != 2:
+            raise DocumentError(f"'neuron' must be [layer, index], got {neuron!r}")
+        neuron = NeuronId(decode_int(neuron[0], "neuron layer"),
+                          decode_int(neuron[1], "neuron index"))
     values = []
     for p in points:
         x = decode_vector(p)
         if neuron is not None:
-            values.append(neuron_value(net, NeuronId(int(neuron[0]), int(neuron[1])), x))
+            values.append(neuron_value(net, neuron, x))
         else:
             values.append(evaluate(net, x))
     return JobResult({"values": [encode_rational(v) for v in values]})
@@ -375,15 +380,18 @@ def _run_batch(directory: str, fmt: str) -> int:
         print(f"no job documents in {directory}", file=sys.stderr)
         return 2
 
-    def process(path: Path) -> tuple[Path, str | None]:
+    failures = 0
+    for path in files:
         try:
             doc = json.loads(path.read_text())
+            if not isinstance(doc, dict) or not isinstance(doc.get("flags", {}), dict):
+                raise DocumentError("a job document is an object with an object of 'flags'")
             flags = doc.get("flags", {})
             job = JobSpec(
                 command=doc.get("command", ""),
                 document=doc.get("input", {}),
                 fmt=fmt,
-                m_max=int(flags.get("m_max", 8)),
+                m_max=decode_int(flags.get("m_max", 8), "m_max"),
                 negate=bool(flags.get("negate", False)),
                 expect_realizable=bool(flags.get("expect_realizable", False)),
                 svg=str(path.with_suffix(".svg")) if doc.get("command") == "render" else None,
@@ -394,16 +402,9 @@ def _run_batch(directory: str, fmt: str) -> int:
             if result.payload is not None:
                 out = path.with_name(path.stem + ".out.json")
                 out.write_text(json.dumps(result.payload, indent=2) + "\n")
-            return path, None
-        except (RelutoricError, json.JSONDecodeError) as exc:
-            return path, str(exc)
-
-    failures = 0
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        for path, error in pool.map(process, files):
-            if error is not None:
-                failures += 1
-                print(f"{path.name}: {error}", file=sys.stderr)
+        except (RelutoricError, json.JSONDecodeError, OSError) as exc:
+            failures += 1
+            print(f"{path.name}: {exc}", file=sys.stderr)
     return 2 if failures else 0
 
 
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relutoric",
         description="Exact toric invariants of unbiased ReLU networks.")
     parser.add_argument("--batch", metavar="DIR",
-                        help="process every job document in DIR concurrently")
+                        help="process every job document in DIR, one after another")
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
         p = sub.add_parser(name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .errors import (
     ContinuityViolation,
@@ -362,13 +362,10 @@ def ehrhart_volume_estimate(P: RationalPolytope, m_max: int) -> tuple[Fraction, 
     if not P.is_lattice():
         raise NotLatticePolytope("vertices are not integral")
     n = P.dimension
-    factor = 1
-    for k in range(2, n + 1):
-        factor *= k
     out = []
     for m in range(1, m_max + 1):
         count = lattice_point_count(P, m)
-        out.append(Fraction(factor * count, m ** n))
+        out.append(Fraction(factorial(n) * count, m ** n))
     return tuple(out)
 
 

@@ -108,9 +108,10 @@ class InhomogeneousConstant(RelutoricError):
     """A nonzero constant would break positive homogeneity."""
 
 
-# rendering
+# fan, rendering
 class UnsupportedDimension(RelutoricError):
-    """Rendering is only implemented for two-dimensional fans."""
+    """The operation is not defined in this ambient dimension: central fans
+    need dimension >= 2, and rendering is only implemented in dimension 2."""
 
 
 # cli

@@ -6,10 +6,20 @@ hyperplane normals) are ``tuple[int, ...]``, rational vectors are
 reduces to the handful of primitives in this module, and none of them ever
 touches a float.
 
-A :class:`RationalPolytope` stores only its vertex set.  Facet inequalities,
-affine-hull equations, triangulations and lattice-point counts are recomputed
-on demand; at the intended scale (dimension <= 4, a few dozen vertices) the
-brute-force algorithms below are exact and fast enough.
+The arithmetic runs on Python integers wherever it can.  Rank, pivot
+columns, linear solves and kernels share one fraction-free elimination
+(:func:`_echelon`): each row is cleared of denominators once, eliminated
+with integer row operations and kept small by dividing out its gcd; only
+the back substitution over the at most n pivot rows uses Fractions.
+Determinants use Bareiss elimination, and hyperplane normals come from
+signed maximal minors.
+
+A :class:`RationalPolytope` stores only its vertex set.  Facet inequalities
+come from the dim-subsets of the vertices, scaled once to a common integer
+lattice, so the side tests are integer comparisons; affine hulls,
+triangulations and lattice-point counts are recomputed on demand.  The
+subset enumeration is exact but grows as C(n, dim), which the intended
+scale (dimension <= 4, a few dozen vertices) affords.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import RankDeficient, ZeroVector
 
@@ -86,9 +96,9 @@ def sign_canonical(v: IntVec) -> IntVec:
 
 def clear_denominators(v) -> tuple[IntVec, int]:
     """Scale a rational vector to integers; returns (integer vector, lcm)."""
-    v = ratvec(v)
-    mult = lcm(*[x.denominator for x in v]) if v else 1
-    return tuple(int(x * mult) for x in v), mult
+    v = [x if type(x) in (int, Fraction) else frac(x) for x in v]
+    mult = lcm(*[x.denominator for x in v])
+    return tuple(x.numerator * (mult // x.denominator) for x in v), mult
 
 
 def rational_to_primitive(v) -> IntVec:
@@ -102,54 +112,59 @@ def rational_to_primitive(v) -> IntVec:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def mat_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of row vectors."""
-    work = [list(map(frac, row)) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
+def _echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form by fraction-free forward elimination.
+
+    Each row is scaled once to integers by the positive lcm of its
+    denominators.  Elimination then uses integer row operations only, and
+    each updated row is divided by the gcd of its entries, so the numbers
+    stay small.  Pivots are sought in the first `ncols` columns (default:
+    all), which lets a right-hand side ride along in a last column.
+    Returns the rows, pivot rows first, and the pivot columns.
+    """
+    work = [list(clear_denominators(row)[0]) for row in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        top = work[rank]
+        p = top[col]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col]
+            if f:
+                row = [p * x - f * y for x, y in zip(work[r], top)]
+                g = gcd(*row)
+                work[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return work, pivots
+
+
+def _back_substitute(echelon, pivots, x: list, rhs=None) -> RatVec:
+    """Complete `x`, whose free coordinates are already set, so that pivot
+    row r of the echelon form pairs with it to rhs[r] (to 0 without rhs)."""
+    n = len(x)
+    for r in reversed(range(len(pivots))):
+        row, col = echelon[r], pivots[r]
+        rest = sum(row[j] * x[j] for j in range(col + 1, n))
+        x[col] = Fraction((rhs[r] if rhs is not None else 0) - rest, row[col])
+    return tuple(x)
+
+
+def mat_rank(rows) -> int:
+    """Rank of a matrix given as an iterable of row vectors."""
+    return len(_echelon(rows)[1])
 
 
 def pivot_columns(rows) -> list[int]:
     """Column indices of pivots after Gaussian elimination."""
-    work = [list(map(frac, row)) for row in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    pivots = []
-    row_at = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row_at, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        inv = 1 / work[row_at][col]
-        work[row_at] = [x * inv for x in work[row_at]]
-        for r in range(len(work)):
-            if r != row_at and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == len(work):
-            break
-    return pivots
+    return _echelon(rows)[1]
 
 
 def solve_exact(rows, rhs) -> RatVec | None:
@@ -158,64 +173,28 @@ def solve_exact(rows, rhs) -> RatVec | None:
     Returns the unique solution, or None when the system is inconsistent.
     Raises RankDeficient when the solution is not unique.
     """
-    work = [list(map(frac, row)) + [frac(b)] for row, b in zip(rows, rhs)]
-    if not work:
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if not augmented:
         raise RankDeficient("empty system")
-    ncols = len(work[0]) - 1
-    pivots = []
-    row_at = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row_at, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        inv = 1 / work[row_at][col]
-        work[row_at] = [x * inv for x in work[row_at]]
-        for r in range(len(work)):
-            if r != row_at and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == len(work):
-            break
-    for r in range(row_at, len(work)):
-        if work[r][ncols] != 0:
-            return None
+    ncols = len(augmented[0]) - 1
+    echelon, pivots = _echelon(augmented, ncols)
+    if any(row[ncols] for row in echelon[len(pivots):]):
+        return None
     if len(pivots) < ncols:
         raise RankDeficient("system is underdetermined")
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = work[r][ncols]
-    return tuple(solution)
+    return _back_substitute(echelon, pivots, [0] * ncols,
+                            [row[ncols] for row in echelon])
 
 
 def nullspace_covectors(rows, dim: int) -> list[RatVec]:
-    """Basis of covectors vanishing on every given vector (rational)."""
-    mat = [list(map(frac, row)) for row in rows]
-    pivots = []
-    row_at = 0
-    for col in range(dim):
-        pivot = next((r for r in range(row_at, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
-        inv = 1 / mat[row_at][col]
-        mat[row_at] = [x * inv for x in mat[row_at]]
-        for r in range(len(mat)):
-            if r != row_at and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row_at])]
-        pivots.append(col)
-        row_at += 1
-    reduced = mat[:row_at]
+    """Basis of covectors vanishing on every given vector (rational): one
+    per free column, that coordinate 1 and the other free ones 0."""
+    echelon, pivots = _echelon(rows, dim)
     basis = []
-    for fcol in (c for c in range(dim) if c not in pivots):
-        cov = [Fraction(0)] * dim
-        cov[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            cov[pcol] = -reduced[r][fcol]
-        basis.append(tuple(cov))
+    for free in (c for c in range(dim) if c not in pivots):
+        x = [Fraction(0)] * dim
+        x[free] = Fraction(1)
+        basis.append(_back_substitute(echelon, pivots, x))
     return basis
 
 
@@ -243,24 +222,10 @@ def int_det(rows) -> int:
 
 
 def det_fraction(rows) -> Fraction:
-    """Determinant of a square rational matrix."""
-    mat = [list(map(frac, row)) for row in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] * inv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    return det
+    """Determinant of a square rational matrix: the integer determinant of
+    the rows cleared of denominators, divided by the product of the lcms."""
+    scaled = [clear_denominators(row) for row in rows]
+    return Fraction(int_det([v for v, _ in scaled]), prod(m for _, m in scaled))
 
 
 def integer_kernel_direction(rows) -> IntVec:
@@ -448,23 +413,28 @@ def _hull_indices_facets(pts, dim: int) -> list[int]:
 
 def _facets_of_points(pts, dim: int) -> list[tuple[IntVec, Fraction]]:
     """Facet inequalities n . x <= c of the hull of a full-dimensional
-    point set, with primitive integer outward normals."""
-    facets = {}
-    for subset in itertools.combinations(range(len(pts)), dim):
-        base = pts[subset[0]]
-        dirs = [vsub(pts[i], base) for i in subset[1:]]
-        if mat_rank(dirs) != dim - 1:
+    point set, with primitive integer outward normals.
+
+    The point set is scaled once to integers by the lcm of all its
+    denominators.  Each dim-subset spanning a hyperplane gives a candidate
+    normal, and the side tests run on integers.
+    """
+    scaled = [clear_denominators(p) for p in pts]
+    mult = lcm(*[m for _, m in scaled])
+    ipts = [tuple(x * (mult // m) for x in v) for v, m in scaled]
+    facets = set()
+    for subset in itertools.combinations(ipts, dim):
+        base = subset[0]
+        try:
+            normal = integer_kernel_direction([vsub(p, base) for p in subset[1:]])
+        except RankDeficient:
             continue
-        covs = nullspace_covectors(dirs, dim)
-        if len(covs) != 1:
-            continue
-        normal = rational_to_primitive(covs[0])
-        offset = frac(vdot(normal, base))
-        sides = [vdot(normal, p) - offset for p in pts]
-        if all(s <= 0 for s in sides):
-            facets[(normal, offset)] = True
-        elif all(s >= 0 for s in sides):
-            facets[(vneg(normal), -offset)] = True
+        offset = vdot(normal, base)
+        sides = [vdot(normal, p) for p in ipts]
+        if max(sides) == offset:
+            facets.add((normal, Fraction(offset, mult)))
+        elif min(sides) == offset:
+            facets.add((vneg(normal), Fraction(-offset, mult)))
     return sorted(facets)
 
 
@@ -540,9 +510,11 @@ def lattice_point_count(P: RationalPolytope, m: int) -> int:
         if lo_int > hi_int:
             return 0
         ranges.append(range(lo_int, hi_int + 1))
+    # n . y is an integer, so n . y <= m c iff n . y <= floor(m c).
+    limits = [(n, m * c // 1) for n, c in facets]
     count = 0
     for y in itertools.product(*ranges):
-        if any(vdot(n, y) > m * c for n, c in facets):
+        if any(vdot(n, y) > limit for n, limit in limits):
             continue
         if lift is not None and not _lift_is_integral(lift, y, m):
             continue
@@ -595,14 +567,11 @@ def euclidean_volume(P: RationalPolytope) -> Fraction:
     n = P.dimension
     verts = list(P.vertices)
     total = Fraction(0)
-    nfact = 1
-    for k in range(2, n + 1):
-        nfact *= k
     for simplex in _triangulate(verts, n):
         v0 = verts[simplex[0]]
         edges = [vsub(verts[i], v0) for i in simplex[1:]]
         total += abs(det_fraction(edges))
-    return total / nfact
+    return total / factorial(n)
 
 
 def _triangulate(pts, dim: int):
@@ -631,8 +600,4 @@ def _triangulate(pts, dim: int):
 
 def mixed_volume(P: RationalPolytope) -> Fraction:
     """n! times the Euclidean volume, n the ambient dimension."""
-    n = P.dimension
-    factor = 1
-    for k in range(2, n + 1):
-        factor *= k
-    return factor * euclidean_volume(P)
+    return factorial(P.dimension) * euclidean_volume(P)

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import Biased, NotEssential, RelutoricError
+from .errors import Biased, NotEssential, RelutoricError, UnsupportedDimension
 from .exact_math import (
     IntVec,
+    clear_denominators,
     integer_kernel_direction,
     is_zero_vector,
     mat_rank,
     rational_to_primitive,
-    ratvec,
     sign_canonical,
     vdot,
     vneg,
@@ -82,7 +82,7 @@ class Cone:
     dim: int
 
     def contains(self, x) -> bool:
-        x = ratvec(x)
+        x, _ = clear_denominators(x)
         return all(vdot(n, x) >= 0 for n in self.halfspaces)
 
     def interior_point(self) -> IntVec:
@@ -255,28 +255,41 @@ def _sort_cones(cones, dim: int) -> list[Cone]:
 # fan assembly
 # ---------------------------------------------------------------------------
 
+def _facet_incidence(cones) -> dict[tuple[IntVec, ...], list[tuple[int, IntVec]]]:
+    """Each facet of the given maximal cones, keyed by its sorted rays, with
+    the (cone index, inward normal) of every cone it bounds."""
+    incidence: dict[tuple[IntVec, ...], list[tuple[int, IntVec]]] = {}
+    for idx, cone in enumerate(cones):
+        for n in cone.halfspaces:
+            tight = tuple(sorted(r for r in cone.rays if vdot(n, r) == 0))
+            incidence.setdefault(tight, []).append((idx, n))
+    return incidence
+
+
+def two_sided_violations(cones) -> list[str]:
+    """One message per facet that does not bound exactly two of the given
+    maximal cones, in sorted facet order; empty when every facet is two
+    sided, as in a complete fan."""
+    return [f"facet {tight} has {len(incident)} incident maximal cones, expected 2"
+            for tight, incident in sorted(_facet_incidence(cones).items())
+            if len(incident) != 2]
+
+
 def _walls_from_cones(cones, dim: int, provenance) -> tuple[Wall, ...]:
     """Match up facets shared by two maximal cones.
 
     `provenance` maps a sign-canonical span normal to a (kind, neurons)
     pair; unmatched walls are tagged unknown.
     """
-    by_face: dict[tuple[IntVec, ...], list[int]] = {}
-    face_normal: dict[tuple[IntVec, ...], IntVec] = {}
-    for idx, cone in enumerate(cones):
-        for n in cone.halfspaces:
-            tight = tuple(sorted(r for r in cone.rays if vdot(n, r) == 0))
-            by_face.setdefault(tight, []).append(idx)
-            face_normal[tight] = sign_canonical(n)
     walls = []
-    for tight, incident in by_face.items():
+    for tight, incident in _facet_incidence(cones).items():
         if len(incident) != 2:
             continue
-        normal = face_normal[tight]
+        normal = sign_canonical(incident[0][1])
         kind, neurons = provenance.get(normal, (UNKNOWN, ()))
         generators = tuple(sort_rays(tight, dim)) if dim == 2 else tight
-        walls.append(Wall(generators, (min(incident), max(incident)),
-                          normal, kind, neurons))
+        indices = sorted(idx for idx, _ in incident)
+        walls.append(Wall(generators, tuple(indices), normal, kind, neurons))
     if dim == 2:
         walls.sort(key=cmp_to_key(
             lambda w1, w2: _ray_cmp_2d(w1.generators[0], w2.generators[0])))
@@ -317,7 +330,8 @@ def central_fan(hyperplanes, dim: int) -> Fan:
     complex then has a lineality space and is only a generalized fan).
     """
     if dim < 2:
-        raise ValueError("central fans need ambient dimension >= 2")
+        raise UnsupportedDimension(
+            f"central fans need ambient dimension >= 2, got {dim}")
     merged = merge_hyperplanes(hyperplanes)
     if not merged:
         raise NotEssential("no hyperplanes given")
@@ -502,10 +516,14 @@ def wall_groups(fan: Fan) -> list[tuple[IntVec, list[int]]]:
 
 
 def cone_containing(fan: Fan, x) -> int:
-    """Lowest-indexed maximal cone whose closure contains x."""
-    x = ratvec(x)
+    """Lowest-indexed maximal cone whose closure contains x.
+
+    The point is cleared of denominators once (a positive scaling, so no
+    sign changes) and every side test runs on integers.
+    """
+    x, _ = clear_denominators(x)
     for i, cone in enumerate(fan.maximal_cones):
-        if cone.contains(x):
+        if all(vdot(n, x) >= 0 for n in cone.halfspaces):
             return i
     raise RelutoricError("point escapes the fan; fan is not complete")
 
@@ -545,17 +563,9 @@ def validate_fan(fan: Fan) -> FanReport:
                 violations.append(
                     f"intersection of cones {i},{j} is not exposed in cone {label}")
 
-    counts: dict[tuple[IntVec, ...], int] = {}
-    for cone in fan.maximal_cones:
-        for n in cone.halfspaces:
-            tight = tuple(sorted(r for r in cone.rays if vdot(n, r) == 0))
-            counts[tight] = counts.get(tight, 0) + 1
-    two_sided = True
-    for tight, count in sorted(counts.items()):
-        if count != 2:
-            two_sided = False
-            violations.append(
-                f"facet {tight} has {count} incident maximal cones, expected 2")
+    one_sided = two_sided_violations(fan.maximal_cones)
+    two_sided = not one_sided
+    violations.extend(one_sided)
 
     spanning = _positively_spanning(fan.rays, fan.dim)
     if not spanning:

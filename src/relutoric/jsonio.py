@@ -13,7 +13,7 @@ from .errors import DocumentError
 from .exact_math import RationalPolytope, frac
 from .expressions import parse_and_compile
 from .divisor import SupportFunction, support_on_fan
-from .fan import Cone, Fan, _assemble_fan, cone_from_rays
+from .fan import Cone, Fan, _assemble_fan, cone_from_rays, two_sided_violations
 from .network import NetworkSpec, ValidatedNetwork, validate
 
 
@@ -35,6 +35,19 @@ def decode_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational {value!r}: {exc}") from exc
     raise DocumentError(f"expected int or 'p/q' string, got {value!r}")
+
+
+def decode_int(value, what: str) -> int:
+    """A JSON integer; booleans, strings and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _decode_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def encode_vector(vec) -> list:
@@ -76,7 +89,8 @@ def decode_network(doc) -> ValidatedNetwork:
         raise DocumentError("network document needs a 'layers' key")
     layers = tuple(decode_matrix(layer) for layer in doc["layers"])
     if "architecture" in doc:
-        arch = tuple(int(n) for n in doc["architecture"])
+        arch = tuple(decode_int(n, "architecture width")
+                     for n in _decode_list(doc["architecture"], "architecture"))
     else:
         if not layers or not layers[0]:
             raise DocumentError("cannot infer architecture from empty layers")
@@ -113,18 +127,41 @@ def encode_fan(fan: Fan) -> dict:
     }
 
 
-def decode_fan(doc) -> Fan:
+def _documented_cones(doc) -> tuple[int, list[Cone]]:
+    """Dimension and cones of a fan document, in the document's order."""
     if not isinstance(doc, dict) or "rays" not in doc or "cones" not in doc:
         raise DocumentError("fan document needs 'rays' and 'cones'")
-    rays = [tuple(int(x) for x in r) for r in doc["rays"]]
+    rays = [tuple(decode_int(x, "ray coordinate") for x in _decode_list(r, "ray"))
+            for r in _decode_list(doc["rays"], "rays")]
     if not rays:
         raise DocumentError("fan document has no rays")
-    dim = int(doc.get("dim", len(rays[0])))
+    dim = decode_int(doc.get("dim", len(rays[0])), "dim")
+    if any(len(r) != dim for r in rays):
+        raise DocumentError(f"every ray needs {dim} coordinates")
     cones = []
-    for cone_doc in doc["cones"]:
-        idxs = cone_doc["rays"] if isinstance(cone_doc, dict) else cone_doc
-        cones.append(cone_from_rays([rays[i] for i in idxs], dim))
-    return _assemble_fan(cones, dim, ())
+    for cone_doc in _decode_list(doc["cones"], "cones"):
+        idxs = cone_doc.get("rays") if isinstance(cone_doc, dict) else cone_doc
+        members = []
+        for i in _decode_list(idxs, "cone rays"):
+            if not 0 <= decode_int(i, "ray index") < len(rays):
+                raise DocumentError(f"cone refers to ray {i}; there are {len(rays)} rays")
+            members.append(rays[i])
+        cones.append(cone_from_rays(members, dim))
+    return dim, cones
+
+
+def decode_fan(doc) -> Fan:
+    return _complete_fan(*_documented_cones(doc))
+
+
+def _complete_fan(dim: int, cones) -> Fan:
+    """The fan of the cones, which must be complete: every facet of a
+    maximal cone bounds exactly two of them."""
+    fan = _assemble_fan(cones, dim, ())
+    one_sided = two_sided_violations(fan.maximal_cones)
+    if one_sided:
+        raise DocumentError(f"fan is not complete: {one_sided[0]}")
+    return fan
 
 
 def encode_support(s: SupportFunction) -> dict:
@@ -136,16 +173,13 @@ def encode_support(s: SupportFunction) -> dict:
 
 
 def decode_support(doc) -> SupportFunction:
-    fan = decode_fan(doc["fan"])
+    dim, documented = _documented_cones(doc["fan"])
+    fan = _complete_fan(dim, documented)
     slope_docs = doc.get("slopes")
-    if slope_docs is None or len(slope_docs) != len(fan.maximal_cones):
+    if not isinstance(slope_docs, list) or len(slope_docs) != len(fan.maximal_cones):
         raise DocumentError("need one slope vector per maximal cone")
     # Hand-given cones may be listed in any order; match by containment of
     # each canonical cone's interior point in the documented cone.
-    documented = [cone_from_rays(
-        [tuple(int(x) for x in doc["fan"]["rays"][i])
-         for i in (c["rays"] if isinstance(c, dict) else c)], fan.dim)
-        for c in doc["fan"]["cones"]]
     slopes = []
     for cone in fan.maximal_cones:
         probe = cone.interior_point()
@@ -162,7 +196,7 @@ def decode_function(doc) -> SupportFunction:
     if not isinstance(doc, dict):
         raise DocumentError("function document must be an object")
     if "expr" in doc:
-        dim = int(doc.get("dim", 0))
+        dim = decode_int(doc.get("dim", 0), "dim")
         if dim < 1:
             raise DocumentError("function document needs a positive 'dim'")
         return parse_and_compile(doc["expr"], dim)

@@ -225,3 +225,76 @@ class TestBatch:
         err = capsys.readouterr().err
         assert code == 2
         assert "bad.json" in err
+
+
+ONE_CONE_DOC = {"dim": 2, "fan": {"dim": 2, "rays": [[1, 0], [0, 1]],
+                                  "cones": [{"rays": [0, 1]}]},
+                "slopes": [[1, 2]]}
+
+
+def run_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+class TestInputBoundary:
+    """Malformed documents end in exit 2 with an error line, not a traceback."""
+
+    def test_non_integer_architecture(self, capsys, tmp_path):
+        doc = dict(GOLDEN_DOC, architecture=[2, "three", 1, 1])
+        code, err = run_error(capsys, tmp_path, "intersect", doc)
+        assert code == 2
+        assert err.startswith("error: architecture width must be an integer")
+
+    def test_ray_index_out_of_range(self, capsys, tmp_path):
+        doc = {"dim": 2, "fan": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                                 "cones": [[0, 1], [1, 2], [2, 5]]},
+               "slopes": [[0, 0], [0, 0], [0, 0]]}
+        code, err = run_error(capsys, tmp_path, "divisor", doc)
+        assert code == 2
+        assert err.startswith("error: cone refers to ray 5; there are 3 rays")
+
+    def test_dimension_one_network(self, capsys, tmp_path):
+        doc = {"architecture": [1, 2, 1], "layers": [[[1], [-2]], [[1, 1]]]}
+        code, err = run_error(capsys, tmp_path, "fan", doc)
+        assert code == 2
+        assert err.startswith("error: central fans need ambient dimension >= 2")
+        # evaluation needs no fan and keeps working in dimension one
+        code, payload = run_json(capsys, tmp_path, "eval",
+                                 dict(doc, points=[[3], [-1]]))
+        assert code == 0
+        assert payload["values"] == [3, 2]
+
+    def test_non_integer_neuron_id(self, capsys, tmp_path):
+        doc = dict(GOLDEN_DOC, points=[[1, 2]], neuron=["one", 2])
+        code, err = run_error(capsys, tmp_path, "eval", doc)
+        assert code == 2
+        assert err.startswith("error: neuron layer must be an integer")
+
+    def test_incomplete_fan_rejected(self, capsys, tmp_path):
+        code, err = run_error(capsys, tmp_path, "divisor", ONE_CONE_DOC)
+        assert code == 2
+        assert err.startswith("error: fan is not complete: facet ((0, 1),) has 1")
+
+    def test_batch_runs_past_bad_documents(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "a-architecture.json").write_text(json.dumps(
+            {"command": "intersect",
+             "input": dict(GOLDEN_DOC, architecture=[2, "three", 1, 1])}))
+        (jobs / "b-one-cone.json").write_text(json.dumps(
+            {"command": "divisor", "input": ONE_CONE_DOC}))
+        (jobs / "c-good.json").write_text(json.dumps(
+            {"command": "divisor", "input": GOLDEN_DOC}))
+        code = main(["--batch", str(jobs)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert [line.split(":")[0] for line in lines] == [
+            "a-architecture.json", "b-one-cone.json"]
+        good = json.loads((jobs / "c-good.out.json").read_text())
+        assert good["ray_coefficients"] == [-1, -1, 0, 0, 0]
+        assert not (jobs / "a-architecture.out.json").exists()
