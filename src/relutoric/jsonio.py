@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DocumentError
+from .errors import DocumentError, UnsupportedDimension
 from .exact_math import RationalPolytope, frac
 from .expressions import parse_and_compile
 from .divisor import SupportFunction, support_on_fan
@@ -136,6 +136,8 @@ def _documented_cones(doc) -> tuple[int, list[Cone]]:
     if not rays:
         raise DocumentError("fan document has no rays")
     dim = decode_int(doc.get("dim", len(rays[0])), "dim")
+    if dim < 2:
+        raise UnsupportedDimension(f"fans need ambient dimension >= 2, got {dim}")
     if any(len(r) != dim for r in rays):
         raise DocumentError(f"every ray needs {dim} coordinates")
     cones = []

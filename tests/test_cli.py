@@ -269,6 +269,15 @@ class TestInputBoundary:
         assert code == 0
         assert payload["values"] == [3, 2]
 
+    def test_dimension_one_fan_document(self, capsys, tmp_path):
+        # both half-lines used to match the first documented cone, which
+        # silently gave them the same slope
+        doc = {"dim": 1, "fan": {"dim": 1, "rays": [[1], [-1]], "cones": [[0], [1]]},
+               "slopes": [[1], [2]]}
+        code, err = run_error(capsys, tmp_path, "divisor", doc)
+        assert code == 2
+        assert err.startswith("error: fans need ambient dimension >= 2, got 1")
+
     def test_non_integer_neuron_id(self, capsys, tmp_path):
         doc = dict(GOLDEN_DOC, points=[[1, 2]], neuron=["one", 2])
         code, err = run_error(capsys, tmp_path, "eval", doc)
