@@ -37,7 +37,6 @@ from .fan import (
     build_relu_fan,
     central_fan,
     cone_containing,
-    enumerate_walls,
     validate_fan,
 )
 from .divisor import (

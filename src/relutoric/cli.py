@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DocumentError, RelutoricError
-from .exact_math import ratvec
 from .divisor import (
     classify_convexity,
     divisor_coefficients,
@@ -110,7 +109,7 @@ def _require_network(document: dict):
 def _cmd_eval(job: JobSpec) -> JobResult:
     net = _require_network(job.document)
     points = job.document.get("points")
-    if not points:
+    if not isinstance(points, list) or not points:
         raise DocumentError("eval needs a nonempty 'points' list")
     neuron = job.document.get("neuron")
     if neuron is not None:

@@ -206,12 +206,6 @@ def negate_support(s: SupportFunction) -> SupportFunction:
     return scale_support(s, -1)
 
 
-def add_supports(a: SupportFunction, b: SupportFunction) -> SupportFunction:
-    if a.fan is not b.fan and a.fan != b.fan:
-        raise ContinuityViolation("supports live on different fans")
-    return SupportFunction(a.fan, tuple(vadd(x, y) for x, y in zip(a.slopes, b.slopes)))
-
-
 def scale_divisor(D: ToricDivisor, factor) -> ToricDivisor:
     factor = frac(factor)
     return ToricDivisor(D.fan, tuple(factor * a for a in D.coefficients))
@@ -274,10 +268,6 @@ def intersection_number(s: SupportFunction, wall: Wall,
 
 def wall_numbers(s: SupportFunction) -> tuple[Fraction, ...]:
     return tuple(intersection_number(s, w) for w in s.fan.walls)
-
-
-def divisor_wall_number(D: ToricDivisor, wall: Wall) -> Fraction:
-    return intersection_number(support_from_divisor(D), wall)
 
 
 def classify_convexity(s: SupportFunction) -> ConvexityReport:

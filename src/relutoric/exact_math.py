@@ -468,19 +468,6 @@ def halfspace_representation(P: RationalPolytope):
     return equalities, cols, facets
 
 
-def contains_point(P: RationalPolytope, x) -> bool:
-    """Exact membership test via the H-representation."""
-    if P.is_empty():
-        return False
-    x = ratvec(x)
-    equalities, cols, facets = halfspace_representation(P)
-    for normal, offset in equalities:
-        if vdot(normal, x) != offset:
-            return False
-    y = tuple(x[c] for c in cols)
-    return all(vdot(n, y) <= c for n, c in facets)
-
-
 def lattice_point_count(P: RationalPolytope, m: int) -> int:
     """Exact number of integer points in the dilate m * P.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousConstant, ParseError, UnknownVariable
-from .exact_math import frac, ratvec, sign_canonical, rational_to_primitive, vadd, vneg, vscale
+from .exact_math import ratvec, sign_canonical, rational_to_primitive, vadd, vneg, vscale
 from .divisor import SupportFunction, slopes_by_evaluation
 from .fan import EXTENDED, Hyperplane, augmented_central_fan, merge_hyperplanes
 
@@ -190,11 +190,11 @@ def format_expression(expr: Expr) -> str:
     if isinstance(expr, Var):
         return f"x{expr.index}"
     if isinstance(expr, Const):
-        return _format_rational(expr.value)
+        return str(expr.value)
     if isinstance(expr, Neg):
         return "-" + format_expression(expr.arg)
     if isinstance(expr, Scale):
-        return f"{_format_rational(expr.coeff)}*{format_expression(expr.arg)}"
+        return f"{expr.coeff}*{format_expression(expr.arg)}"
     if isinstance(expr, Max):
         return "max(" + ", ".join(format_expression(a) for a in expr.args) + ")"
     if isinstance(expr, Sum):
@@ -206,12 +206,6 @@ def format_expression(expr: Expr) -> str:
                 parts.append(" + " + format_expression(term))
         return "".join(parts)
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Central polyhedral fans of unbiased ReLU networks.
 
-The fan of a network is built in two stages: the central arrangement of the
-first-layer hyperplanes, then one level-set refinement pass per deeper hidden
-layer, splitting each maximal cone wherever the composed (cone-linear) neuron
-functional changes sign.  Cones carry both generators (extreme rays) and an
-irredundant halfspace description; all data is integer and exact.
+Every fan here comes out of one cell-splitting engine.  A central
+arrangement starts from the 2^d simplicial cells of d independent normals and
+splits every cell by each remaining hyperplane; the ReLU fan then refines each
+maximal cone wherever the composed (cone-linear) functional of a deeper
+neuron changes sign.  Each split is one exact double-description step on
+integers, so cones carry both their extreme rays and an irredundant inward
+facet description, and no cell is ever enumerated that does not exist.
 
 Deterministic ordering: in the plane, rays and maximal cones are sorted
 counterclockwise starting from the positive x-axis, which matches the usual
@@ -171,11 +173,6 @@ def _facet_normals(rays, candidates, dim: int) -> tuple[IntVec, ...]:
     return tuple(sorted(facets))
 
 
-def _cone_from_halfspaces(normals, dim: int) -> Cone:
-    rays = _rays_from_halfspaces(normals, dim)
-    return Cone(tuple(rays), _facet_normals(rays, normals, dim), dim)
-
-
 def halfspaces_from_rays(rays, dim: int) -> tuple[IntVec, ...]:
     """Irredundant inward facet normals of a full-dimensional cone given by
     generators.  Brute force over (dim-1)-subsets of the rays."""
@@ -205,14 +202,53 @@ def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
     """Split a maximal cone along a hyperplane through its interior.
 
     Returns (negative side, positive side) or None when the hyperplane does
-    not separate the cone's interior.
+    not separate the cone's interior.  This is one double-description step
+    in integers: it needs the cone's rays to be exactly its extreme rays and
+    its facets to be irredundant, which every cone this engine makes
+    satisfies, and `cut` to be primitive.  Two rays on opposite sides span
+    an edge of the cone unless a third ray is tight on every facet that both
+    are tight on; each edge the cut crosses yields one new ray.
     """
     products = [vdot(cut, r) for r in cone.rays]
     if not (any(p > 0 for p in products) and any(p < 0 for p in products)):
         return None
-    pos = _cone_from_halfspaces(cone.halfspaces + (cut,), cone.dim)
-    neg = _cone_from_halfspaces(cone.halfspaces + (vneg(cut),), cone.dim)
-    return neg, pos
+    tight = [frozenset(i for i, n in enumerate(cone.halfspaces) if vdot(n, r) == 0)
+             for r in cone.rays]
+    new_rays = []
+    for a, pa in enumerate(products):
+        for b, pb in enumerate(products):
+            if pa <= 0 or pb >= 0:
+                continue
+            common = tight[a] & tight[b]
+            if any(common <= t for c, t in enumerate(tight) if c != a and c != b):
+                continue
+            ra, rb = cone.rays[a], cone.rays[b]
+            new_rays.append(rational_to_primitive(
+                tuple(pa * y - pb * x for x, y in zip(ra, rb))))
+
+    def side(sign: int) -> Cone:
+        rays = [r for r, p in zip(cone.rays, products) if sign * p >= 0] + new_rays
+        kept = {i for p, t in zip(products, tight) if sign * p > 0 for i in t}
+        facets = [n for i, n in enumerate(cone.halfspaces) if i in kept]
+        facets.append(cut if sign > 0 else vneg(cut))
+        return Cone(tuple(rays), tuple(facets), cone.dim)
+
+    return side(-1), side(1)
+
+
+def _refine(cones, cut: IntVec) -> tuple[list[Cone], bool]:
+    """Split every cone that `cut` passes through; also report whether any
+    cone was split."""
+    refined: list[Cone] = []
+    split_any = False
+    for cone in cones:
+        split = _split_cone(cone, cut)
+        if split is None:
+            refined.append(cone)
+        else:
+            refined.extend(split)
+            split_any = True
+    return refined, split_any
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +360,10 @@ def _assemble_fan(cones, dim: int, hyperplanes, bent_cuts=()) -> Fan:
 
 
 def central_fan(hyperplanes, dim: int) -> Fan:
-    """Fan of a central hyperplane arrangement, cells enumerated exactly.
+    """Fan of a central hyperplane arrangement, cells built by splitting.
 
+    The first d independent normals, in the given order, cut space into 2^d
+    simplicial cells; every cell is then split by each remaining normal.
     Raises NotEssential when the normals do not span the ambient space (the
     complex then has a lineality space and is only a generalized fan).
     """
@@ -335,15 +373,25 @@ def central_fan(hyperplanes, dim: int) -> Fan:
     merged = merge_hyperplanes(hyperplanes)
     if not merged:
         raise NotEssential("no hyperplanes given")
-    normals = [h.normal for h in merged]
-    if mat_rank(normals) < dim:
+    basis: list[IntVec] = []
+    rest: list[IntVec] = []
+    for h in merged:
+        if len(basis) < dim and mat_rank(basis + [h.normal]) > len(basis):
+            basis.append(h.normal)
+        else:
+            rest.append(h.normal)
+    if len(basis) < dim:
         raise NotEssential(
-            f"normals span rank {mat_rank(normals)} < {dim}; lineality remains")
-    rays = _arrangement_rays(normals, dim)
-    if dim == 2:
-        cones = _planar_cells(rays)
-    else:
-        cones = _cells_by_sign_vector(normals, rays, dim)
+            f"normals span rank {len(basis)} < {dim}; lineality remains")
+    kernel = []
+    for i, n in enumerate(basis):
+        k = integer_kernel_direction(basis[:i] + basis[i + 1:])
+        kernel.append(k if vdot(n, k) > 0 else vneg(k))
+    cones = [Cone(tuple(k if s > 0 else vneg(k) for s, k in zip(signs, kernel)),
+                  tuple(n if s > 0 else vneg(n) for s, n in zip(signs, basis)), dim)
+             for signs in itertools.product((1, -1), repeat=dim)]
+    for cut in rest:
+        cones, _ = _refine(cones, cut)
     return _assemble_fan(cones, dim, merged)
 
 
@@ -359,54 +407,6 @@ def augmented_central_fan(hyperplanes, dim: int) -> Fan:
             coords.append(Hyperplane(e, SYNTHETIC))
         merged = merge_hyperplanes(list(merged) + coords)
     return central_fan(merged, dim)
-
-
-def _arrangement_rays(normals, dim: int) -> list[IntVec]:
-    rays = set()
-    for subset in itertools.combinations(normals, dim - 1):
-        if mat_rank(subset) != dim - 1:
-            continue
-        direction = integer_kernel_direction(subset)
-        for cand in (direction, vneg(direction)):
-            if cand in rays:
-                continue
-            active = [n for n in normals if vdot(n, cand) == 0]
-            if mat_rank(active) == dim - 1:
-                rays.add(cand)
-    return sort_rays(rays, dim)
-
-
-def _planar_cells(rays) -> list[Cone]:
-    def rot(v: IntVec) -> IntVec:
-        return (-v[1], v[0])
-
-    cones = []
-    for a, b in zip(rays, rays[1:] + rays[:1]):
-        na = rot(a)
-        if vdot(na, b) < 0:
-            na = vneg(na)
-        nb = rot(b)
-        if vdot(nb, a) < 0:
-            nb = vneg(nb)
-        cones.append(Cone((a, b), tuple(sorted({na, nb})), 2))
-    return cones
-
-
-def _cells_by_sign_vector(normals, rays, dim: int) -> list[Cone]:
-    ray_signs = [tuple(vdot(n, r) for n in normals) for r in rays]
-    cones = []
-    for signs in itertools.product((1, -1), repeat=len(normals)):
-        members = [rays[i] for i, prods in enumerate(ray_signs)
-                   if all(s * p >= 0 for s, p in zip(signs, prods))]
-        if len(members) < dim:
-            continue
-        probe = tuple(sum(r[i] for r in members) for i in range(dim))
-        if any(s * vdot(n, probe) <= 0 for s, n in zip(signs, normals)):
-            continue
-        oriented = [n if s > 0 else vneg(n) for s, n in zip(signs, normals)]
-        cones.append(Cone(tuple(sorted(members)),
-                          _facet_normals(members, oriented, dim), dim))
-    return cones
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +456,9 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                             f"neuron ({layer},{j}) is identically zero on a cone")
                     continue
                 cut = rational_to_primitive(phi)
-                refined = []
-                for piece in pieces:
-                    split = _split_cone(piece, cut)
-                    if split is None:
-                        refined.append(piece)
-                    else:
-                        refined.extend(split)
-                        bent_cuts.append((sign_canonical(cut), (layer, j)))
-                pieces = refined
+                pieces, bent = _refine(pieces, cut)
+                if bent:
+                    bent_cuts.append((sign_canonical(cut), (layer, j)))
             for piece in pieces:
                 probe = piece.interior_point()
                 active_rows = []
@@ -501,10 +495,6 @@ def _compose(out_row, matrix):
 # ---------------------------------------------------------------------------
 # queries and validation
 # ---------------------------------------------------------------------------
-
-def enumerate_walls(fan: Fan) -> list[Wall]:
-    return list(fan.walls)
-
 
 def wall_groups(fan: Fan) -> list[tuple[IntVec, list[int]]]:
     """Wall indices grouped by the full hyperplane containing them, ordered

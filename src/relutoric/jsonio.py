@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DocumentError, UnsupportedDimension
-from .exact_math import RationalPolytope, frac
+from .exact_math import RationalPolytope, frac, mat_rank, vdot
 from .expressions import parse_and_compile
 from .divisor import SupportFunction, support_on_fan
 from .fan import Cone, Fan, _assemble_fan, cone_from_rays, two_sided_violations
@@ -87,7 +87,8 @@ def encode_network(net: ValidatedNetwork) -> dict:
 def decode_network(doc) -> ValidatedNetwork:
     if not isinstance(doc, dict) or "layers" not in doc:
         raise DocumentError("network document needs a 'layers' key")
-    layers = tuple(decode_matrix(layer) for layer in doc["layers"])
+    layers = tuple(decode_matrix(layer)
+                   for layer in _decode_list(doc["layers"], "layers"))
     if "architecture" in doc:
         arch = tuple(decode_int(n, "architecture width")
                      for n in _decode_list(doc["architecture"], "architecture"))
@@ -97,7 +98,8 @@ def decode_network(doc) -> ValidatedNetwork:
         arch = (len(layers[0][0]),) + tuple(len(m) for m in layers)
     biases = None
     if doc.get("biases") is not None:
-        biases = tuple(decode_vector(vec) for vec in doc["biases"])
+        biases = tuple(decode_vector(vec)
+                       for vec in _decode_list(doc["biases"], "biases"))
     return validate(NetworkSpec(arch, layers, biases))
 
 
@@ -148,8 +150,23 @@ def _documented_cones(doc) -> tuple[int, list[Cone]]:
             if not 0 <= decode_int(i, "ray index") < len(rays):
                 raise DocumentError(f"cone refers to ray {i}; there are {len(rays)} rays")
             members.append(rays[i])
-        cones.append(cone_from_rays(members, dim))
+        cones.append(_proper_cone(cone_from_rays(members, dim), len(cones)))
     return dim, cones
+
+
+def _proper_cone(cone: Cone, k: int) -> Cone:
+    """The documented cone k, which must be full-dimensional and strongly
+    convex and list only extreme rays: a ray is extreme when its tight
+    facets span a hyperplane."""
+    dim = cone.dim
+    if mat_rank(cone.rays) < dim:
+        raise DocumentError(f"cone {k} is not full-dimensional")
+    if mat_rank(cone.halfspaces) < dim:
+        raise DocumentError(f"cone {k} contains a line")
+    for r in cone.rays:
+        if mat_rank([n for n in cone.halfspaces if vdot(n, r) == 0]) < dim - 1:
+            raise DocumentError(f"cone {k} lists ray {list(r)}, which is not extreme")
+    return cone
 
 
 def decode_fan(doc) -> Fan:
@@ -164,14 +181,6 @@ def _complete_fan(dim: int, cones) -> Fan:
     if one_sided:
         raise DocumentError(f"fan is not complete: {one_sided[0]}")
     return fan
-
-
-def encode_support(s: SupportFunction) -> dict:
-    return {
-        "dim": s.fan.dim,
-        "fan": encode_fan(s.fan),
-        "slopes": [encode_vector(m) for m in s.slopes],
-    }
 
 
 def decode_support(doc) -> SupportFunction:
@@ -201,6 +210,8 @@ def decode_function(doc) -> SupportFunction:
         dim = decode_int(doc.get("dim", 0), "dim")
         if dim < 1:
             raise DocumentError("function document needs a positive 'dim'")
+        if not isinstance(doc["expr"], str):
+            raise DocumentError(f"'expr' must be a string, got {doc['expr']!r}")
         return parse_and_compile(doc["expr"], dim)
     if "fan" in doc:
         return decode_support(doc)

@@ -74,16 +74,10 @@ def render_fan_svg(fan: Fan, support=None) -> str:
         for cone, slope in zip(fan.maximal_cones, support.slopes):
             probe = cone.interior_point()
             x, y = _endpoint(probe, LABEL_RADIUS)
-            label = "(" + ", ".join(_rat_text(c) for c in slope) + ")"
+            label = "(" + ", ".join(str(c) for c in slope) + ")"
             parts.append(
                 f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="12" '
                 f'font-family="monospace" text-anchor="middle" '
                 f'fill="#333333">{label}</text>\n')
     parts.append(FOOTER)
     return "".join(parts)
-
-
-def _rat_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"

@@ -289,6 +289,64 @@ class TestInputBoundary:
         assert code == 2
         assert err.startswith("error: fan is not complete: facet ((0, 1),) has 1")
 
+    def test_non_list_layers(self, capsys, tmp_path):
+        code, err = run_error(capsys, tmp_path, "intersect", {"layers": 5})
+        assert code == 2
+        assert err.startswith("error: layers must be a list, got 5")
+
+    def test_non_list_biases(self, capsys, tmp_path):
+        code, err = run_error(capsys, tmp_path, "intersect", dict(GOLDEN_DOC, biases=5))
+        assert code == 2
+        assert err.startswith("error: biases must be a list, got 5")
+
+    def test_non_list_points(self, capsys, tmp_path):
+        code, err = run_error(capsys, tmp_path, "eval", dict(GOLDEN_DOC, points=5))
+        assert code == 2
+        assert err.startswith("error: eval needs a nonempty 'points' list")
+
+    def test_non_string_expression(self, capsys, tmp_path):
+        code, err = run_error(capsys, tmp_path, "realize", {"dim": 2, "expr": 5})
+        assert code == 2
+        assert err.startswith("error: 'expr' must be a string, got 5")
+
+    def test_cone_with_a_line(self, capsys, tmp_path):
+        doc = {"dim": 2, "fan": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                 "cones": [[0, 1, 2], [2, 3], [3, 0]]},
+               "slopes": [[0, 0]] * 3}
+        code, err = run_error(capsys, tmp_path, "divisor", doc)
+        assert code == 2
+        assert err.startswith("error: cone 0 contains a line")
+
+    def test_planar_cone_with_an_inner_ray(self, capsys, tmp_path):
+        doc = {"dim": 2, "fan": {"dim": 2,
+                                 "rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]],
+                                 "cones": [[0, 1, 2], [2, 3], [3, 4], [4, 0]]},
+               "slopes": [[0, 0]] * 4}
+        code, err = run_error(capsys, tmp_path, "divisor", doc)
+        assert code == 2
+        assert err.startswith("error: cone 0 lists ray [1, 1], which is not extreme")
+
+    def test_spatial_cone_with_a_ray_on_a_facet(self, capsys, tmp_path):
+        # (1, 1, 0) lies on a facet of the first octant; it used to be
+        # reported as a ray of the fan, with exit 0
+        rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1],
+                [1, 1, 0]]
+        cones = [[0, 1, 2, 6], [3, 1, 2], [0, 4, 2], [3, 4, 2],
+                 [0, 1, 5], [3, 1, 5], [0, 4, 5], [3, 4, 5]]
+        doc = {"dim": 3, "fan": {"dim": 3, "rays": rays, "cones": cones},
+               "slopes": [[0, 0, 0]] * 8}
+        code, err = run_error(capsys, tmp_path, "divisor", doc)
+        assert code == 2
+        assert err.startswith("error: cone 0 lists ray [1, 1, 0], which is not extreme")
+
+    def test_flat_cone(self, capsys, tmp_path):
+        doc = {"dim": 3, "fan": {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0]],
+                                 "cones": [[0, 1]]},
+               "slopes": [[0, 0, 0]]}
+        code, err = run_error(capsys, tmp_path, "divisor", doc)
+        assert code == 2
+        assert err.startswith("error: cone 0 is not full-dimensional")
+
     def test_batch_runs_past_bad_documents(self, capsys, tmp_path):
         jobs = tmp_path / "jobs"
         jobs.mkdir()

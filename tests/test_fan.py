@@ -1,26 +1,43 @@
+import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from relutoric.divisor import extract_support, intersection_number
 from relutoric.errors import Biased, NotEssential
-from relutoric.exact_math import mat_rank, solve_exact, vdot
+from relutoric.exact_math import (
+    int_det,
+    integer_kernel_direction,
+    mat_rank,
+    solve_exact,
+    vdot,
+    vneg,
+)
 from relutoric.fan import (
     BENT,
     LAYER1,
     SYNTHETIC,
+    Cone,
     Fan,
+    _assemble_fan,
+    _facet_normals,
+    _split_cone,
     build_relu_fan,
     central_fan,
     cone_containing,
     cone_from_rays,
-    enumerate_walls,
     hyperplane,
+    merge_hyperplanes,
+    sort_rays,
     validate_fan,
     wall_groups,
 )
-from relutoric.network import NeuronId, network, neuron_value
-from conftest import rand_point, rand_rational
+from relutoric.jsonio import encode_fan
+from relutoric.network import NeuronId, evaluate, network, neuron_value
+from conftest import bend_oracle, rand_point, rand_rational
 
 GOLDEN_RAYS = ((1, 0), (1, 1), (-1, 0), (-1, -1), (0, -1))
 
@@ -123,7 +140,7 @@ class TestBuildReLUFan:
 class TestWalls:
     def test_golden_groups(self, golden_net):
         fan = build_relu_fan(golden_net)
-        walls = enumerate_walls(fan)
+        walls = fan.walls
         assert len(walls) == 5
         groups = dict(wall_groups(fan))
         assert set(groups) == {(0, 1), (1, -1), (1, 0)}
@@ -240,3 +257,165 @@ class TestRefinementSoundness:
             fan = build_relu_fan(net)
             assert validate_fan(fan).complete
             self._assert_neurons_linear_on_cones(net, fan)
+
+
+# ---------------------------------------------------------------------------
+# the cell-splitting engine against the enumerators it replaced
+# ---------------------------------------------------------------------------
+
+# Reference: the arrangement's rays from every (d-1)-subset of normals, then
+# the planar cells between consecutive rays, or every one of the 2^N sign
+# vectors in dimension >= 3.
+
+def _arrangement_rays(normals, dim):
+    rays = set()
+    for subset in itertools.combinations(normals, dim - 1):
+        if mat_rank(subset) != dim - 1:
+            continue
+        direction = integer_kernel_direction(subset)
+        for cand in (direction, vneg(direction)):
+            if cand in rays:
+                continue
+            active = [n for n in normals if vdot(n, cand) == 0]
+            if mat_rank(active) == dim - 1:
+                rays.add(cand)
+    return sort_rays(rays, dim)
+
+
+def _planar_cells(rays):
+    def rot(v):
+        return (-v[1], v[0])
+
+    cones = []
+    for a, b in zip(rays, rays[1:] + rays[:1]):
+        na = rot(a)
+        if vdot(na, b) < 0:
+            na = vneg(na)
+        nb = rot(b)
+        if vdot(nb, a) < 0:
+            nb = vneg(nb)
+        cones.append(Cone((a, b), tuple(sorted({na, nb})), 2))
+    return cones
+
+
+def _cells_by_sign_vector(normals, rays, dim):
+    ray_signs = [tuple(vdot(n, r) for n in normals) for r in rays]
+    cones = []
+    for signs in itertools.product((1, -1), repeat=len(normals)):
+        members = [rays[i] for i, prods in enumerate(ray_signs)
+                   if all(s * p >= 0 for s, p in zip(signs, prods))]
+        if len(members) < dim:
+            continue
+        probe = tuple(sum(r[i] for r in members) for i in range(dim))
+        if any(s * vdot(n, probe) <= 0 for s, n in zip(signs, normals)):
+            continue
+        oriented = [n if s > 0 else vneg(n) for s, n in zip(signs, normals)]
+        cones.append(Cone(tuple(sorted(members)),
+                          _facet_normals(members, oriented, dim), dim))
+    return cones
+
+
+def reference_central_fan(hyperplanes, dim):
+    merged = merge_hyperplanes(hyperplanes)
+    normals = [h.normal for h in merged]
+    if not merged or mat_rank(normals) < dim:
+        raise NotEssential("lineality remains")
+    rays = _arrangement_rays(normals, dim)
+    if dim == 2:
+        cones = _planar_cells(rays)
+    else:
+        cones = _cells_by_sign_vector(normals, rays, dim)
+    return _assemble_fan(cones, dim, merged)
+
+
+@st.composite
+def arrangements(draw):
+    """Up to 8 normals in [-2, 2]^d, d = 2..4: repeated, parallel and
+    concurrent planes are all common at this size."""
+    dim = draw(st.integers(2, 4))
+    normals = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * dim).filter(any), min_size=1, max_size=8))
+    return dim, normals
+
+
+def _generic_normals(rng, dim, count):
+    """Random integer normals with every dim-subset independent."""
+    while True:
+        normals = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(count)]
+        if all(int_det(list(s)) != 0 for s in itertools.combinations(normals, dim)):
+            return normals
+
+
+def _zaslavsky(count, dim):
+    return 2 * sum(comb(count - 1, i) for i in range(dim))
+
+
+class TestSplittingEngine:
+    @settings(max_examples=120, deadline=None)
+    @given(arrangements())
+    def test_matches_reference_enumerators(self, arrangement):
+        dim, normals = arrangement
+        planes = [hyperplane(n) for n in normals]
+        try:
+            expected = reference_central_fan(planes, dim)
+        except NotEssential:
+            with pytest.raises(NotEssential):
+                central_fan(planes, dim)
+            return
+        fan = central_fan(planes, dim)
+        assert encode_fan(fan) == encode_fan(expected)
+        assert [c.halfspaces for c in fan.maximal_cones] == [
+            c.halfspaces for c in expected.maximal_cones]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_generic_region_count(self, dim):
+        rng = random.Random(100 + dim)
+        for count in range(dim, 9):
+            normals = _generic_normals(rng, dim, count)
+            fan = central_fan([hyperplane(n) for n in normals], dim)
+            assert len(fan.maximal_cones) == _zaslavsky(count, dim)
+
+    def test_generic_4_8_1_net(self):
+        rows = _generic_normals(random.Random(48), 4, 8)
+        fan = build_relu_fan(network([rows, [[1] * 8]]))
+        assert len(fan.maximal_cones) == _zaslavsky(8, 4) == 128
+
+    def test_random_deep_nets_in_space(self):
+        rng = random.Random(3)
+        for widths in ([3, 3, 2, 1], [3, 2, 2, 2, 1], [3, 4, 2, 1]):
+            net = network([
+                [[rand_rational(rng, 3) for _ in range(widths[i])]
+                 for _ in range(widths[i + 1])]
+                for i in range(len(widths) - 1)])
+            fan = build_relu_fan(net)
+            report = validate_fan(fan)
+            assert report.valid, report.violations
+            support = extract_support(net, fan)
+            for wall in fan.walls:
+                assert intersection_number(support, wall) == bend_oracle(
+                    lambda p: evaluate(net, p), fan, wall)
+
+    def _assert_split(self, cone, cut, neg_rays, pos_rays):
+        neg, pos = _split_cone(cone, cut)
+        for piece, rays in ((neg, neg_rays), (pos, pos_rays)):
+            assert sorted(piece.rays) == sorted(rays)
+            assert sorted(piece.halfspaces) == list(cone_from_rays(rays, 3).halfspaces)
+
+    def test_split_through_a_ray(self):
+        octant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        self._assert_split(octant, (1, -1, 0),
+                           [(0, 1, 0), (0, 0, 1), (1, 1, 0)],
+                           [(1, 0, 0), (0, 0, 1), (1, 1, 0)])
+
+    def test_split_through_two_rays_of_a_square_cone(self):
+        # the cut meets the rays (0, +-1, 1); the rays (+-1, 0, 1) on either
+        # side span no edge, so no new ray appears
+        square = cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+        self._assert_split(square, (1, 0, 0),
+                           [(-1, 0, 1), (0, 1, 1), (0, -1, 1)],
+                           [(1, 0, 1), (0, 1, 1), (0, -1, 1)])
+
+    def test_cut_along_a_facet_does_not_split(self):
+        octant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        assert _split_cone(octant, (1, 0, 0)) is None
+        assert _split_cone(octant, (1, 1, 0)) is None
