@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DocumentError, RelutoricError
+from .errors import DocumentError, NotConvexFunction, NotLatticePolytope, RelutoricError
 from .divisor import (
     classify_convexity,
     divisor_coefficients,
@@ -28,7 +28,6 @@ from .divisor import (
     support_of_network,
     wall_curve,
 )
-from .errors import NotConvexFunction, NotLatticePolytope
 from .fan import build_relu_fan, validate_fan, wall_groups
 from .jsonio import (
     decode_function,

@@ -10,12 +10,14 @@ number of the divisor with the wall's invariant curve.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import (
     ContinuityViolation,
+    DimensionMismatch,
     InconsistentRayValue,
     NotConvexFunction,
     NotLatticePolytope,
@@ -43,7 +45,7 @@ from .exact_math import (
     vsub,
 )
 from .fan import Fan, Wall, cone_containing
-from .network import ValidatedNetwork, evaluate
+from .network import ValidatedNetwork, cleared_layers, linear_piece
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,15 @@ def support_on_fan(fan: Fan, slopes) -> SupportFunction:
 
 
 def _check_continuity(s: SupportFunction) -> None:
+    """Every wall generator pairs equally with the slopes on both sides;
+    tested on the slopes cleared once by their common denominator."""
+    mult = s.clearing_multiple()
+    slopes = [tuple(c.numerator * (mult // c.denominator) for c in m)
+              for m in s.slopes]
     for wall in s.fan.walls:
         i, j = wall.cones
-        diff = vsub(s.slopes[i], s.slopes[j])
         for w in wall.generators:
-            if vdot(diff, w) != 0:
+            if vdot(slopes[i], w) != vdot(slopes[j], w):
                 raise ContinuityViolation(
                     f"slopes disagree on wall {wall.generators}")
 
@@ -123,6 +129,8 @@ def slopes_by_evaluation(fan: Fan, func) -> SupportFunction:
 
     Samples interior rational points (ray sum perturbed by each ray in turn)
     in general position, solves the linear system, and verifies continuity.
+    This is the method for a black-box callable; it calls `func` dim times
+    per cone.
     """
     slopes = []
     for cone in fan.maximal_cones:
@@ -152,8 +160,23 @@ def slopes_by_evaluation(fan: Fan, func) -> SupportFunction:
 
 
 def extract_support(net: ValidatedNetwork, fan: Fan) -> SupportFunction:
-    """Slope data of the network on its ReLU fan, by exact evaluation."""
-    return slopes_by_evaluation(fan, lambda p: evaluate(net, p))
+    """Slope data of the network on a fan, one linear piece per cone.
+
+    Each maximal cone's slope is the network's linear piece at the cone's
+    interior point, read off in integers.  The fan must refine the net's
+    activation regions, as `build_relu_fan(net)` does.  On such a fan a
+    neuron's pre-activation vanishes at an interior point only if it
+    vanishes on the whole cone, so counting the tie as inactive cannot
+    change the slope.  Continuity across every wall is still verified.
+    """
+    if net.input_dim != fan.dim:
+        raise DimensionMismatch(
+            f"fan has dimension {fan.dim}, network input {net.input_dim}")
+    cleared = cleared_layers(net)
+    s = SupportFunction(fan, tuple(linear_piece(cleared, cone.interior_point())
+                                   for cone in fan.maximal_cones))
+    _check_continuity(s)
+    return s
 
 
 def support_of_network(net: ValidatedNetwork) -> SupportFunction:
@@ -308,8 +331,6 @@ def polytope_of_divisor(D: ToricDivisor) -> RationalPolytope:
 
 
 def _halfspace_vertices(D: ToricDivisor) -> RationalPolytope:
-    import itertools
-
     dim = D.fan.dim
     rays = D.fan.rays
     rhs = [-a for a in D.coefficients]

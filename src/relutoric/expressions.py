@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import InhomogeneousConstant, ParseError, UnknownVariable
 from .exact_math import ratvec, sign_canonical, rational_to_primitive, vadd, vneg, vscale
-from .divisor import SupportFunction, slopes_by_evaluation
+from .divisor import SupportFunction, support_on_fan
 from .fan import EXTENDED, Hyperplane, augmented_central_fan, merge_hyperplanes
 
 
@@ -103,7 +103,10 @@ class _Lexer:
             if self.pos == dstart:
                 self.pos = save
                 return Fraction(numerator)
-            return Fraction(numerator, int(self.text[dstart:self.pos]))
+            denominator = int(self.text[dstart:self.pos])
+            if denominator == 0:
+                raise ParseError(dstart, "zero denominator")
+            return Fraction(numerator, denominator)
         return Fraction(numerator)
 
     def word(self) -> str:
@@ -317,12 +320,49 @@ def candidate_hyperplanes(expr: Expr, dim: int) -> tuple[Hyperplane, ...]:
 
 def compile_expression(expr: Expr, dim: int) -> SupportFunction:
     """Support function of a parsed expression: central fan of the candidate
-    hyperplanes (synthetically augmented when rank-deficient), slopes by
-    exact evaluation on each maximal cone."""
+    hyperplanes (synthetically augmented when rank-deficient), and on each
+    maximal cone the slope of the linear piece at its interior point.
+
+    A max node takes its first argmax.  Ties cannot change the slope:
+    `candidate_hyperplanes` holds the difference of every pair of forms two
+    arguments of a max can take, and each is a cut of the fan, so two
+    arguments tied at an interior point of a cone agree on the whole cone
+    and have equal slopes there.
+    """
     _check_homogeneous(expr, dim)
     planes = merge_hyperplanes(candidate_hyperplanes(expr, dim))
     fan = augmented_central_fan(planes, dim)
-    return slopes_by_evaluation(fan, lambda p: evaluate_expression(expr, p))
+    return support_on_fan(fan, [_value_and_slope(expr, cone.interior_point(), dim)[1]
+                                for cone in fan.maximal_cones])
+
+
+def _value_and_slope(expr: Expr, point, dim: int):
+    """Value at the point and slope of the linear piece chosen there."""
+    if isinstance(expr, Var):
+        slope = tuple(1 if i == expr.index - 1 else 0 for i in range(dim))
+        return point[expr.index - 1], slope
+    if isinstance(expr, Const):
+        return expr.value, (0,) * dim
+    if isinstance(expr, Neg):
+        value, slope = _value_and_slope(expr.arg, point, dim)
+        return -value, vneg(slope)
+    if isinstance(expr, Scale):
+        value, slope = _value_and_slope(expr.arg, point, dim)
+        return expr.coeff * value, vscale(expr.coeff, slope)
+    if isinstance(expr, Sum):
+        value, slope = 0, (0,) * dim
+        for term in expr.terms:
+            v, m = _value_and_slope(term, point, dim)
+            value, slope = value + v, vadd(slope, m)
+        return value, slope
+    if isinstance(expr, Max):
+        best = None
+        for arg in expr.args:
+            value, slope = _value_and_slope(arg, point, dim)
+            if best is None or value > best[0]:
+                best = value, slope
+        return best
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def parse_and_compile(text: str, dim: int) -> SupportFunction:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import Biased, NotEssential, RelutoricError, UnsupportedDimension
@@ -33,7 +32,7 @@ from .exact_math import (
     vdot,
     vneg,
 )
-from .network import ValidatedNetwork
+from .network import ValidatedNetwork, cleared_layers
 
 LAYER1 = "layer1"
 SYNTHETIC = "synthetic"
@@ -428,8 +427,10 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
 
     Starts from the central fan of the first layer (synthetically augmented
     with coordinate hyperplanes when not essential), then refines cone by
-    cone along the zero sets of the composed functionals of each deeper
-    hidden layer.  The output layer never refines.
+    cone along the zero sets of the composed (cone-linear) functionals of
+    each deeper hidden layer.  The output layer never refines.  The
+    compositions and sign tests run on `cleared_layers(net)`: a positive
+    multiple of a functional has the same signs and the same primitive cut.
     """
     if not net.is_unbiased:
         raise Biased("the toric pipeline requires an unbiased network")
@@ -437,17 +438,19 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
     planes = layer_one_hyperplanes(net)
     base = augmented_central_fan(planes, dim)
     planes = base.hyperplanes
+    layers, _ = cleared_layers(net)
 
     cones = list(base.maximal_cones)
-    prefix = [_first_layer_matrix(net, cone) for cone in cones]
+    prefix = [_first_layer_matrix(layers[0], cone) for cone in cones]
     bent_cuts: list[tuple[IntVec, tuple[int, int]]] = []
     k = net.hidden_layers
+    zero = (0,) * dim
     for layer in range(2, k + 1):
-        rows = net.layers[layer - 1]
+        rows = layers[layer - 1]
         next_cones: list[Cone] = []
         next_prefix = []
         for cone, w in zip(cones, prefix):
-            functionals = [_compose(row, w) for row in rows]
+            functionals = [_compose(row, w, dim) for row in rows]
             pieces = [cone]
             for j, phi in enumerate(functionals, start=1):
                 if is_zero_vector(phi):
@@ -461,33 +464,24 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                     bent_cuts.append((sign_canonical(cut), (layer, j)))
             for piece in pieces:
                 probe = piece.interior_point()
-                active_rows = []
-                for phi in functionals:
-                    if vdot(phi, probe) > 0:
-                        active_rows.append(phi)
-                    else:
-                        active_rows.append(tuple(Fraction(0) for _ in range(dim)))
                 next_cones.append(piece)
-                next_prefix.append(tuple(active_rows))
+                next_prefix.append(tuple(phi if vdot(phi, probe) > 0 else zero
+                                         for phi in functionals))
         cones = next_cones
         prefix = next_prefix
     return _assemble_fan(cones, dim, planes, bent_cuts)
 
 
-def _first_layer_matrix(net: ValidatedNetwork, cone: Cone):
+def _first_layer_matrix(rows, cone: Cone):
     """Linear map computed by ReLU . L1 on a maximal cone of the layer-one
-    arrangement."""
+    arrangement, for the cleared first-layer rows."""
     probe = cone.interior_point()
-    rows = []
-    zero = tuple(Fraction(0) for _ in range(net.input_dim))
-    for row in net.layers[0]:
-        rows.append(row if vdot(row, probe) > 0 else zero)
-    return tuple(rows)
+    zero = (0,) * cone.dim
+    return tuple(row if vdot(row, probe) > 0 else zero for row in rows)
 
 
-def _compose(out_row, matrix):
+def _compose(out_row, matrix, dim: int):
     """Covector out_row . matrix."""
-    dim = len(matrix[0]) if matrix else 0
     return tuple(sum(c * row[i] for c, row in zip(out_row, matrix))
                  for i in range(dim))
 

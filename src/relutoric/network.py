@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BadNeuronId, Biased, DimensionMismatch, NotShallow, ShapeMismatch
-from .exact_math import RatVec, frac, ratvec, vdot
+from .exact_math import IntVec, RatVec, frac, ratvec, vdot
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -97,6 +97,9 @@ def validate(spec: NetworkSpec) -> ValidatedNetwork:
         layers.append(rows)
     biases = None
     if spec.biases is not None:
+        if len(spec.biases) != len(layers):
+            raise ShapeMismatch(
+                0, f"expected {len(layers)} bias vectors, got {len(spec.biases)}")
         biases = []
         for i, vec in enumerate(spec.biases, start=1):
             vec = ratvec(vec)
@@ -130,6 +133,50 @@ def evaluate(net: ValidatedNetwork, x) -> Fraction:
         x = _relu(_apply_layer(net, i, x))
     out = _apply_layer(net, len(net.layers), x)
     return frac(out[0])
+
+
+def cleared_layers(net: ValidatedNetwork) -> tuple[tuple[tuple[IntVec, ...], ...], int]:
+    """Each layer's matrix scaled by the positive lcm of its denominators,
+    and the product of those scales.
+
+    ReLU commutes with positive scaling, so the integer network computes
+    the product times the original function, and every pre-activation keeps
+    its sign.
+    """
+    layers = []
+    scale = 1
+    for layer in net.layers:
+        mult = lcm(1, *(x.denominator for row in layer for x in row))
+        layers.append(tuple(tuple(x.numerator * (mult // x.denominator) for x in row)
+                            for row in layer))
+        scale *= mult
+    return tuple(layers), scale
+
+
+def linear_piece(cleared, probe: IntVec) -> RatVec:
+    """Slope covector of the network's linear piece at an integer probe.
+
+    `cleared` is `cleared_layers(net)`.  One integer forward pass records
+    the activation pattern (a neuron is active when its pre-activation is
+    > 0); the output row is then pulled back through the active rows, and
+    the result is divided by the scale once per coordinate.
+    """
+    layers, scale = cleared
+    x = probe
+    passes = []
+    for layer in layers[:-1]:
+        pre = [sum(w * v for w, v in zip(row, x)) for row in layer]
+        passes.append((layer, [p > 0 for p in pre], len(x)))
+        x = [p if p > 0 else 0 for p in pre]
+    covector = list(layers[-1][0])
+    for layer, active, width in reversed(passes):
+        pulled = [0] * width
+        for c, row, on in zip(covector, layer, active):
+            if on and c:
+                for j, w in enumerate(row):
+                    pulled[j] += c * w
+        covector = pulled
+    return tuple(Fraction(c, scale) for c in covector)
 
 
 def neuron_value(net: ValidatedNetwork, neuron: NeuronId, x) -> Fraction:

@@ -347,6 +347,23 @@ class TestInputBoundary:
         assert code == 2
         assert err.startswith("error: cone 0 is not full-dimensional")
 
+    @pytest.mark.parametrize("biases", [[[0, 0, 0]], [[0, 0, 0], [0], [0]]])
+    @pytest.mark.parametrize("command", ["eval", "divisor"])
+    def test_bias_count_differs_from_layer_count(self, capsys, tmp_path, command, biases):
+        doc = {"architecture": [2, 3, 1],
+               "layers": [[[0, 1], [0, -1], [1, -1]], [[1, -1, 1]]],
+               "biases": biases, "points": [[1, 2]]}
+        code, err = run_error(capsys, tmp_path, command, doc)
+        assert code == 2
+        assert err.startswith(
+            f"error: layer 0: expected 2 bias vectors, got {len(biases)}")
+
+    def test_zero_denominator_in_expression(self, capsys, tmp_path):
+        doc = {"dim": 2, "expr": "max(x1, x2, 1/0)"}
+        code, err = run_error(capsys, tmp_path, "realize", doc)
+        assert code == 2
+        assert err.startswith("error: at offset 14: zero denominator")
+
     def test_batch_runs_past_bad_documents(self, capsys, tmp_path):
         jobs = tmp_path / "jobs"
         jobs.mkdir()

@@ -1,0 +1,159 @@
+"""Slopes read off linear pieces, against slopes solved from exact values.
+
+`slopes_by_evaluation` samples each cone at `dim` interior points and solves
+for the slope from the values alone; it is the oracle here for the integer
+linear-piece path of `extract_support` and the value-and-slope walk of
+`compile_expression`.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from relutoric.divisor import extract_support, slopes_by_evaluation
+from relutoric.errors import DimensionMismatch
+from relutoric.expressions import (
+    Max,
+    Neg,
+    Scale,
+    Sum,
+    Var,
+    _value_and_slope,
+    compile_expression,
+    evaluate_expression,
+    parse_expression,
+)
+from relutoric.fan import build_relu_fan
+from relutoric.network import (
+    cleared_layers,
+    evaluate,
+    linear_piece,
+    network,
+    reduce_shallow,
+)
+from conftest import rand_point
+
+
+def _assert_matches_evaluation(net, seed):
+    fan = build_relu_fan(net)
+    support = extract_support(net, fan)
+    oracle = slopes_by_evaluation(fan, lambda p: evaluate(net, p))
+    assert support.slopes == oracle.slopes
+    rng = random.Random(seed)
+    for _ in range(5):
+        x = rand_point(rng, net.input_dim)
+        assert support.value(x) == evaluate(net, x)
+
+
+weights = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def nets(draw):
+    """Depth 1-3 in dim 2-4 with rational weights; rows are often zero."""
+    dim = draw(st.integers(2, 4))
+    depth = draw(st.integers(1, 3))
+    widths = [dim] + [draw(st.integers(1, 6 - depth)) for _ in range(depth)] + [1]
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        row = st.one_of(st.just([0] * n_in),
+                        st.lists(weights, min_size=n_in, max_size=n_in))
+        layers.append(draw(st.lists(row, min_size=n_out, max_size=n_out)))
+    return network(layers)
+
+
+class TestNetworkSlopes:
+    @settings(max_examples=60, deadline=None)
+    @given(nets(), st.integers(0, 2**16))
+    def test_matches_evaluation(self, net, seed):
+        _assert_matches_evaluation(net, seed)
+
+    def test_deeper_neuron_zero_on_a_cone(self):
+        # on x1 < 0, x2 < 0 both layer-2 neurons vanish identically, and the
+        # third layer-2 row is zero
+        net = network([[[1, 0], [0, 1], [1, -1]],
+                       [[1, 0, 0], [0, F(1, 2), -1], [0, 0, 0]],
+                       [[1, -3, 2]]])
+        diagnostics = []
+        build_relu_fan(net, diagnostics)
+        assert any("(2,2) is identically zero" in d for d in diagnostics)
+        _assert_matches_evaluation(net, 1)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_width_hidden_layer(self, dim):
+        net = reduce_shallow(network([[[0] * dim], [[1]]]))
+        assert net.architecture == (dim, 0, 1)
+        support = extract_support(net, build_relu_fan(net))
+        assert set(support.slopes) == {(0,) * dim}
+        _assert_matches_evaluation(net, 2)
+
+    def test_scale_is_the_product_of_layer_lcms(self):
+        layers, scale = cleared_layers(network([[[F(1, 2), F(1, 3)]], [[F(3, 4)]]]))
+        assert layers == (((3, 2),), ((3,),))
+        assert scale == 6 * 4
+
+    def test_fan_of_another_dimension_rejected(self):
+        net = network([[[1, 0, 0]], [[1]]])
+        with pytest.raises(DimensionMismatch):
+            extract_support(net, build_relu_fan(network([[[1, 0]], [[1]]])))
+
+    def test_tie_counts_as_inactive(self):
+        # max(0, x1) at a point of its bending line takes the inactive piece
+        cleared = cleared_layers(network([[[1, 0]], [[1]]]))
+        assert linear_piece(cleared, (0, 1)) == (0, 0)
+        assert linear_piece(cleared, (1, 1)) == (1, 0)
+
+
+@st.composite
+def expressions(draw, dim):
+    """Nested max, sums and negative scales over x1..x_dim."""
+    leaf = st.builds(Var, st.integers(1, dim))
+
+    def extend(children):
+        args = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Scale, st.builds(F, st.integers(-3, 3), st.integers(1, 2)),
+                      children),
+            st.builds(lambda a: Sum(tuple(a)), args),
+            st.builds(lambda a: Max(tuple(a)), args),
+            # a repeated argument ties with itself everywhere
+            st.builds(lambda a: Max((a, a)), children),
+        )
+
+    return draw(st.recursive(leaf, extend, max_leaves=6))
+
+
+def _assert_expression_matches(expr, dim):
+    support = compile_expression(expr, dim)
+    oracle = slopes_by_evaluation(support.fan,
+                                  lambda p: evaluate_expression(expr, p))
+    assert support.slopes == oracle.slopes
+
+
+class TestExpressionSlopes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda d: st.tuples(st.just(d), expressions(d))))
+    def test_matches_evaluation(self, case):
+        dim, expr = case
+        _assert_expression_matches(expr, dim)
+
+    @pytest.mark.parametrize("text", [
+        "max(x1, x1, x2)",
+        "2*max(x1, x2) - max(x1, x2) - max(x1, x2)",
+        "max(max(x1, x2), x1) - max(x2, -x1)",
+        "max(x1, x2, x3) + min(x1, 2*x2)",
+    ])
+    def test_ties_and_cancellations(self, text):
+        dim = 3 if "x3" in text else 2
+        _assert_expression_matches(parse_expression(text, dim), dim)
+
+    def test_negative_scale(self):
+        expr = Scale(F(-2), Max((Var(1), Var(2), Neg(Var(1)))))
+        _assert_expression_matches(expr, 2)
+
+    def test_max_takes_its_first_argmax(self):
+        value, slope = _value_and_slope(Max((Var(1), Var(2))), (1, 1), 2)
+        assert (value, slope) == (1, (1, 0))
