@@ -116,47 +116,38 @@ class Fan:
 
 @dataclass(frozen=True)
 class FanReport:
-    """Structured result of validate_fan; never raises."""
+    """Structured result of validate_fan; never raises.
+
+    `strongly_convex`: every cone is pointed.  `two_sided`: every facet
+    bounds exactly two cones, on opposite sides.  `degree`: the number of
+    cones whose interior holds a generic probe point.  With two-sided facets
+    that number is the same at every generic point, so the cones cover the
+    space `degree` times; the face property holds exactly when they cover it
+    once.  A collection whose facets are not two-sided reads
+    `face_property` False, because local checks cannot decide it there.
+    """
 
     strongly_convex: bool
-    face_property: bool
     two_sided: bool
-    positively_spanning: bool
+    degree: int
     violations: tuple[str, ...] = ()
 
     @property
     def complete(self) -> bool:
-        return self.two_sided and self.positively_spanning
+        return self.two_sided and self.degree >= 1
+
+    @property
+    def face_property(self) -> bool:
+        return self.two_sided and self.degree == 1
 
     @property
     def valid(self) -> bool:
-        return self.strongly_convex and self.face_property and self.complete
+        return self.strongly_convex and self.complete and self.degree == 1
 
 
 # ---------------------------------------------------------------------------
 # low-level cone machinery
 # ---------------------------------------------------------------------------
-
-def _rays_from_halfspaces(normals, dim: int) -> list[IntVec]:
-    """Extreme rays of {x : n.x >= 0 for all n}, assuming the cone is
-    pointed.  Candidates come from (dim-1)-subsets of the constraints; a
-    candidate is extreme iff its active constraints span a hyperplane."""
-    rays = set()
-    for subset in itertools.combinations(normals, dim - 1):
-        if mat_rank(subset) != dim - 1:
-            continue
-        direction = integer_kernel_direction(subset)
-        for cand in (direction, vneg(direction)):
-            if cand in rays:
-                continue
-            products = [vdot(n, cand) for n in normals]
-            if any(p < 0 for p in products):
-                continue
-            active = [n for n, p in zip(normals, products) if p == 0]
-            if mat_rank(active) == dim - 1:
-                rays.add(cand)
-    return sorted(rays)
-
 
 def _facet_normals(rays, candidates, dim: int) -> tuple[IntVec, ...]:
     """Filter candidate valid constraints down to facet-defining ones."""
@@ -303,11 +294,16 @@ def _facet_incidence(cones) -> dict[tuple[IntVec, ...], list[tuple[int, IntVec]]
 
 def two_sided_violations(cones) -> list[str]:
     """One message per facet that does not bound exactly two of the given
-    maximal cones, in sorted facet order; empty when every facet is two
-    sided, as in a complete fan."""
-    return [f"facet {tight} has {len(incident)} incident maximal cones, expected 2"
-            for tight, incident in sorted(_facet_incidence(cones).items())
-            if len(incident) != 2]
+    maximal cones on opposite sides, in sorted facet order; empty when every
+    facet is two sided, as in a complete fan."""
+    messages = []
+    for tight, incident in sorted(_facet_incidence(cones).items()):
+        if len(incident) != 2:
+            messages.append(
+                f"facet {tight} has {len(incident)} incident maximal cones, expected 2")
+        elif vdot(incident[0][1], cones[incident[1][0]].interior_point()) >= 0:
+            messages.append(f"facet {tight} bounds two cones on one side")
+    return messages
 
 
 def _walls_from_cones(cones, dim: int, provenance) -> tuple[Wall, ...]:
@@ -513,62 +509,45 @@ def cone_containing(fan: Fan, x) -> int:
 
 
 def validate_fan(fan: Fan) -> FanReport:
-    violations = []
+    """Decide whether the maximal cones form a complete fan, by three local
+    checks on integers, O(C*F) for C cones of F facets each.
 
-    strongly_convex = True
-    for i, cone in enumerate(fan.maximal_cones):
-        if mat_rank(cone.halfspaces) < fan.dim:
-            strongly_convex = False
-            violations.append(f"cone {i} contains a line")
+    1. Pointed: every cone's facet normals have full rank.
+    2. Two-sided: every facet (keyed by its rays) bounds exactly two cones,
+       and the second lies on the negative side of the first's inward
+       normal.
+    3. Degree 1: exactly one cone holds the probe p = (1, t, ..., t^(d-1))
+       strictly inside every facet inequality, where t = 2 + the largest
+       |entry| of any facet normal.  Each n.p is a nonzero integer
+       polynomial in t, and t exceeds its Cauchy root bound, so p lies on
+       no facet hyperplane.
 
-    face_ok = True
-    seen = set()
-    for i, cone in enumerate(fan.maximal_cones):
-        key = tuple(sorted(cone.rays))
-        if key in seen:
-            face_ok = False
-            violations.append(f"cone {i} duplicates another maximal cone")
-        seen.add(key)
-    for i, j in itertools.combinations(range(len(fan.maximal_cones)), 2):
-        ci, cj = fan.maximal_cones[i], fan.maximal_cones[j]
-        shared = _rays_from_halfspaces(ci.halfspaces + cj.halfspaces, fan.dim)
-        for cone, label in ((ci, i), (cj, j)):
-            if not set(shared) <= set(cone.rays):
-                face_ok = False
-                violations.append(
-                    f"intersection of cones {i},{j} is not a face of cone {label}")
-                continue
-            active = [n for n in cone.halfspaces
-                      if all(vdot(n, r) == 0 for r in shared)]
-            exposed = [r for r in cone.rays
-                       if all(vdot(n, r) == 0 for n in active)]
-            if set(exposed) != set(shared):
-                face_ok = False
-                violations.append(
-                    f"intersection of cones {i},{j} is not exposed in cone {label}")
+    Soundness, for full-dimensional cones in dimension d >= 2.  With
+    two-sided facets the number of cones whose interior holds a point is
+    the same at every point off the facet hyperplanes: crossing a point of a
+    facet that lies in no (d-2)-face swaps each cone bounded there for its
+    partner on the other side, and the complement of the (d-2)-skeleton is
+    connected.  Every cone is full-dimensional, so that number is at least
+    1 and the cones cover R^d.  Degree 1 makes the interiors disjoint.  The
+    cones around each face then close up, once, because their facets match
+    exactly: so no ray of one cone lies in a face of another that does not
+    list it, and any two cones meet in a common face.  Conversely every
+    complete fan of pointed cones passes all three checks.
+    """
+    cones = fan.maximal_cones
+    violations = [f"cone {i} contains a line" for i, cone in enumerate(cones)
+                  if mat_rank(cone.halfspaces) < fan.dim]
+    strongly_convex = not violations
 
-    one_sided = two_sided_violations(fan.maximal_cones)
-    two_sided = not one_sided
+    one_sided = two_sided_violations(cones)
     violations.extend(one_sided)
 
-    spanning = _positively_spanning(fan.rays, fan.dim)
-    if not spanning:
-        violations.append("rays do not positively span the ambient space")
+    t = 2 + max((abs(x) for cone in cones for n in cone.halfspaces for x in n),
+                default=0)
+    probe = tuple(t ** k for k in range(fan.dim))
+    degree = sum(all(vdot(n, probe) > 0 for n in cone.halfspaces) for cone in cones)
+    if degree != 1:
+        violations.append(
+            f"the generic point {probe} lies inside {degree} maximal cones, expected 1")
 
-    return FanReport(strongly_convex, face_ok, two_sided, spanning,
-                     tuple(violations))
-
-
-def _positively_spanning(rays, dim: int) -> bool:
-    if mat_rank(rays) < dim:
-        return False
-    # Rays positively span iff the polar cone {c : c.r >= 0 for all r} is
-    # trivial; its extreme rays would show up as kernel directions.
-    for subset in itertools.combinations(rays, dim - 1):
-        if mat_rank(subset) != dim - 1:
-            continue
-        direction = integer_kernel_direction(subset)
-        for cand in (direction, vneg(direction)):
-            if all(vdot(cand, r) >= 0 for r in rays):
-                return False
-    return True
+    return FanReport(strongly_convex, not one_sided, degree, tuple(violations))

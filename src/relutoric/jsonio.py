@@ -13,7 +13,7 @@ from .errors import DocumentError, UnsupportedDimension
 from .exact_math import RationalPolytope, frac, mat_rank, vdot
 from .expressions import parse_and_compile
 from .divisor import SupportFunction, support_on_fan
-from .fan import Cone, Fan, _assemble_fan, cone_from_rays, two_sided_violations
+from .fan import Cone, Fan, _assemble_fan, cone_from_rays, validate_fan
 from .network import NetworkSpec, ValidatedNetwork, validate
 
 
@@ -174,12 +174,13 @@ def decode_fan(doc) -> Fan:
 
 
 def _complete_fan(dim: int, cones) -> Fan:
-    """The fan of the cones, which must be complete: every facet of a
-    maximal cone bounds exactly two of them."""
+    """The fan of the cones, which must be a complete fan (see
+    `validate_fan`)."""
     fan = _assemble_fan(cones, dim, ())
-    one_sided = two_sided_violations(fan.maximal_cones)
-    if one_sided:
-        raise DocumentError(f"fan is not complete: {one_sided[0]}")
+    report = validate_fan(fan)
+    if not report.valid:
+        problem = "not a fan" if report.complete else "fan is not complete"
+        raise DocumentError(f"{problem}: {report.violations[0]}")
     return fan
 
 

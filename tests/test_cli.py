@@ -289,6 +289,24 @@ class TestInputBoundary:
         assert code == 2
         assert err.startswith("error: fan is not complete: facet ((0, 1),) has 1")
 
+    @pytest.mark.parametrize("command", ["fan", "divisor", "intersect", "realize"])
+    @pytest.mark.parametrize("fan, message", [
+        # a pentagram: every ray bounds two cones on opposite sides, and the
+        # cones wind around the origin twice
+        ({"dim": 2, "rays": [[1, 0], [-4, 3], [1, -3], [1, 3], [-4, -3]],
+          "cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
+         "error: not a fan: the generic point (1, 6) lies inside 2 maximal cones"),
+        # three nested cones in one quadrant; every ray bounds two of them
+        ({"dim": 2, "rays": [[1, 0], [2, 1], [1, 1]], "cones": [[0, 2], [0, 1], [1, 2]]},
+         "error: fan is not complete: facet ((1, 0),) bounds two cones on one side"),
+    ], ids=["pentagram", "nested"])
+    def test_cones_that_are_not_a_fan(self, capsys, tmp_path, command, fan, message):
+        # both documents used to give divisors and realizability, with exit 0
+        doc = {"dim": 2, "fan": fan, "slopes": [[0, 0]] * len(fan["cones"])}
+        code, err = run_error(capsys, tmp_path, command, doc)
+        assert code == 2
+        assert err.startswith(message)
+
     def test_non_list_layers(self, capsys, tmp_path):
         code, err = run_error(capsys, tmp_path, "intersect", {"layers": 5})
         assert code == 2

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relutoric.divisor import extract_support, intersection_number
 from relutoric.errors import Biased, NotEssential
@@ -189,14 +190,218 @@ class TestValidateFan:
         fan = Fan(2, ((1, 0), (1, 1), (0, 1)), (big, inner), ())
         report = validate_fan(fan)
         assert not report.face_property
-        assert any("not a face" in v or "not exposed" in v
-                   for v in report.violations)
+        assert "facet ((1, 0),) bounds two cones on one side" in report.violations
 
     def test_missing_cone_not_complete(self, golden_net):
         full = build_relu_fan(golden_net)
         partial = Fan(2, full.rays, full.maximal_cones[:-1], ())
         report = validate_fan(partial)
         assert not report.complete
+
+    def test_disjoint_same_side_cycles_not_complete(self):
+        # rays at about 0/50/100 and 180/230/280 degrees, each triple with
+        # its three cones: every facet bounds two cones and the rays
+        # positively span, yet the sector from 100 to 180 degrees is bare
+        cycles = [((1, 0), (5, 6), (-1, 6)), ((-1, 0), (-5, -6), (1, -6))]
+        fan = _collection((cone_from_rays(pair, 2) for rays in cycles
+                           for pair in itertools.combinations(rays, 2)), 2)
+        report = validate_fan(fan)
+        assert report.complete is False
+        assert not report.valid
+
+    def test_pentagram_covers_the_plane_twice(self):
+        rays = [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)]
+        fan = _planar_collection(rays, step=2)
+        report = validate_fan(fan)
+        assert report.two_sided and report.complete
+        assert report.degree == 2
+        assert not report.face_property and not report.valid
+
+    def test_no_cones(self):
+        report = validate_fan(Fan(2, (), (), ()))
+        assert report.degree == 0
+        assert not report.complete and not report.valid
+
+    def test_seeded_3_16_1_fan_is_valid(self):
+        rng = random.Random(1)
+        widths = (3, 16, 1)
+        net = network([[[F(rng.randint(-5, 5), rng.randint(1, 3))
+                         for _ in range(widths[i])] for _ in range(widths[i + 1])]
+                       for i in range(len(widths) - 1)])
+        fan = build_relu_fan(net)
+        assert len(fan.maximal_cones) > 200
+        report = validate_fan(fan)
+        assert report.valid, report.violations
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_nets_are_fans_with_oracle_wall_numbers(self, data):
+        net = data.draw(random_nets(max_dim=4, max_width=4))
+        fan = build_relu_fan(net)
+        report = validate_fan(fan)
+        assert report.valid, report.violations
+        support = extract_support(net, fan)
+        for wall in fan.walls:
+            assert intersection_number(support, wall) == bend_oracle(
+                lambda p: evaluate(net, p), fan, wall)
+
+
+# ---------------------------------------------------------------------------
+# the local checks against the all-pairs check they replaced
+# ---------------------------------------------------------------------------
+
+# Reference: every pair of cones is intersected by enumerating the extreme
+# rays of their joint facet inequalities over (d-1)-subsets, and the
+# intersection must be an exposed face of both; completeness is "every facet
+# bounds two cones and the rays positively span".
+
+def _rays_from_halfspaces(normals, dim):
+    rays = set()
+    for subset in itertools.combinations(normals, dim - 1):
+        if mat_rank(subset) != dim - 1:
+            continue
+        direction = integer_kernel_direction(subset)
+        for cand in (direction, vneg(direction)):
+            if cand in rays:
+                continue
+            products = [vdot(n, cand) for n in normals]
+            if any(p < 0 for p in products):
+                continue
+            active = [n for n, p in zip(normals, products) if p == 0]
+            if mat_rank(active) == dim - 1:
+                rays.add(cand)
+    return sorted(rays)
+
+
+def _positively_spanning(rays, dim):
+    if mat_rank(rays) < dim:
+        return False
+    for subset in itertools.combinations(rays, dim - 1):
+        if mat_rank(subset) != dim - 1:
+            continue
+        direction = integer_kernel_direction(subset)
+        for cand in (direction, vneg(direction)):
+            if all(vdot(cand, r) >= 0 for r in rays):
+                return False
+    return True
+
+
+def _face_property(cones, dim):
+    if len({tuple(sorted(c.rays)) for c in cones}) != len(cones):
+        return False
+    for ci, cj in itertools.combinations(cones, 2):
+        normals = sorted(set(ci.halfspaces + cj.halfspaces))
+        shared = _rays_from_halfspaces(normals, dim)
+        for cone in (ci, cj):
+            if not set(shared) <= set(cone.rays):
+                return False
+            active = [n for n in cone.halfspaces
+                      if all(vdot(n, r) == 0 for r in shared)]
+            exposed = {r for r in cone.rays if all(vdot(n, r) == 0 for n in active)}
+            if exposed != set(shared):
+                return False
+    return True
+
+
+def reference_validate(fan):
+    """(complete, valid) by the all-pairs check."""
+    facets = Counter(tuple(sorted(r for r in cone.rays if vdot(n, r) == 0))
+                     for cone in fan.maximal_cones for n in cone.halfspaces)
+    complete = (all(count == 2 for count in facets.values())
+                and _positively_spanning(fan.rays, fan.dim))
+    strongly_convex = all(mat_rank(c.halfspaces) == fan.dim for c in fan.maximal_cones)
+    valid = (strongly_convex and complete
+             and _face_property(fan.maximal_cones, fan.dim))
+    return complete, valid
+
+
+def _collection(cones, dim):
+    """A Fan of the given cones, as a hand-built document would give it."""
+    cones = tuple(cones)
+    return Fan(dim, tuple(sort_rays({r for c in cones for r in c.rays}, dim)), cones, ())
+
+
+def _planar_collection(rays, step):
+    """Planar cones from each ray to the one `step` places on, cyclically."""
+    return _collection((cone_from_rays([a, rays[(i + step) % len(rays)]], 2)
+                        for i, a in enumerate(rays)), 2)
+
+
+@st.composite
+def small_central_fans(draw):
+    """Fans of essential central arrangements small enough for the all-pairs
+    reference: up to 8 lines in the plane, 4 planes in dimensions 3 and 4."""
+    dim = draw(st.integers(2, 4))
+    normals = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                            min_size=dim, max_size=8 if dim == 2 else 4))
+    assume(mat_rank(normals) == dim)
+    return central_fan([hyperplane(n) for n in normals], dim)
+
+
+@st.composite
+def random_nets(draw, max_dim, max_width):
+    """Unbiased nets of depth 1-3 with weights p/q, |p| <= 5, q <= 3."""
+    dim = draw(st.integers(2, max_dim))
+    widths = ([dim] + draw(st.lists(st.integers(1, max_width), min_size=1, max_size=3))
+              + [1])
+    weight = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    return network([[[draw(weight) for _ in range(widths[i])]
+                     for _ in range(widths[i + 1])]
+                    for i in range(len(widths) - 1)])
+
+
+# Sixteen directions around the plane, counterclockwise.
+_COMPASS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+            (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1)]
+
+
+class TestLocalChecksAgainstReference:
+    def _assert_agrees(self, fan):
+        report = validate_fan(fan)
+        assert (report.complete, report.valid) == reference_validate(fan), report
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_central_fans())
+    def test_central_fans(self, fan):
+        assert validate_fan(fan).valid
+        self._assert_agrees(fan)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_nets(max_dim=3, max_width=2))
+    def test_relu_fans(self, net):
+        self._assert_agrees(build_relu_fan(net))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_central_fans(), st.sampled_from(["drop", "duplicate", "replace"]),
+           st.data())
+    def test_perturbed_cone_lists(self, fan, change, data):
+        dim = fan.dim
+        cones = list(fan.maximal_cones)
+        k = data.draw(st.integers(0, len(cones) - 1))
+        if change == "drop":
+            del cones[k]
+        elif change == "duplicate":
+            cones.insert(data.draw(st.integers(0, len(cones))), cones[k])
+        else:
+            rays = data.draw(st.lists(st.sampled_from(fan.rays), min_size=dim,
+                                      max_size=dim + 2, unique=True))
+            assume(mat_rank(rays) == dim)
+            cones[k] = cone_from_rays(rays, dim)
+            assume(mat_rank(cones[k].halfspaces) == dim)
+        self._assert_agrees(_collection(cones, dim))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(_COMPASS), min_size=5, max_size=11, unique=True)
+           .map(lambda rays: sort_rays(rays, 2)).filter(lambda rays: len(rays) % 2))
+    def test_winding_two_planar_fans(self, rays):
+        # each cone skips a ray; with an odd count the cycle of cones goes
+        # round the origin twice
+        assume(all(rays[i][0] * rays[(i + 2) % len(rays)][1]
+                   - rays[i][1] * rays[(i + 2) % len(rays)][0] > 0
+                   for i in range(len(rays))))
+        fan = _planar_collection(rays, step=2)
+        assert validate_fan(fan).degree == 2
+        self._assert_agrees(fan)
 
 
 class TestConeContaining:
