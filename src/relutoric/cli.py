@@ -20,7 +20,6 @@ from .divisor import (
     divisor_coefficients,
     ehrhart_volume_estimate,
     intersection_number,
-    line_bundle_volume,
     mixed_volume,
     newton_polytope,
     polytope_of_divisor,
@@ -213,7 +212,7 @@ def _cmd_volume(job: JobSpec) -> JobResult:
     P = polytope_of_divisor(neg)
     payload = {
         "polytope": encode_polytope(P),
-        "line_bundle_volume": encode_rational(line_bundle_volume(neg)),
+        "line_bundle_volume": encode_rational(mixed_volume(P)),
         "m_max": job.m_max,
     }
     try:

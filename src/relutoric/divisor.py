@@ -10,7 +10,6 @@ number of the divisor with the wall's invariant curve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -29,7 +28,9 @@ from .exact_math import (
     IntVec,
     RationalPolytope,
     RatVec,
+    clear_denominators,
     convex_hull,
+    double_description,
     frac,
     kernel_normal,
     lattice_point_count,
@@ -315,39 +316,32 @@ def classify_convexity(s: SupportFunction) -> ConvexityReport:
 # ---------------------------------------------------------------------------
 
 def polytope_of_divisor(D: ToricDivisor) -> RationalPolytope:
-    """The section polytope {m : <m, u_rho> >= -a_rho for all rays}.
+    """The section polytope P_D = {m : <m, u_rho> >= -a_rho for all rays}.
 
-    For divisors with convex support this is the hull of the Cartier data;
-    otherwise vertices are enumerated from the ray constraints directly.
-    An empty vertex set is a valid result.
+    One double description pass over its homogenisation
+    {(m, t) : <m, u_rho> + a_rho t >= 0, t >= 0}: the rays with t > 0,
+    divided by t, are the vertices, and when P_D is full-dimensional the
+    rows the pass keeps are its facets -u_rho . m <= a_rho.  A
+    lower-dimensional P_D gets its facets from the hull of its vertices;
+    an empty one, whose cone is {0}, has no vertices.
     """
-    try:
-        s = support_from_divisor(D)
-    except NotQCartier:
-        s = None
-    if s is not None and all(n >= 0 for n in wall_numbers(s)):
-        return convex_hull(s.slopes)
-    return _halfspace_vertices(D)
-
-
-def _halfspace_vertices(D: ToricDivisor) -> RationalPolytope:
     dim = D.fan.dim
-    rays = D.fan.rays
-    rhs = [-a for a in D.coefficients]
-    vertices = set()
-    for subset in itertools.combinations(range(len(rays)), dim):
-        rows = [rays[i] for i in subset]
-        if mat_rank(rows) != dim:
-            continue
-        point = solve_exact(rows, [rhs[i] for i in subset])
-        if point is None:
-            continue
-        if all(vdot(rays[i], point) >= rhs[i] for i in range(len(rays))):
-            vertices.add(ratvec(point))
-    if not vertices:
-        return RationalPolytope(dim, ())
-    hull = convex_hull(vertices)
-    return hull
+    rows = [clear_denominators(tuple(u) + (a,))[0]
+            for u, a in zip(D.fan.rays, D.coefficients)]
+    rows.append((0,) * dim + (1,))
+    rays, zero_sets, kept = double_description(rows, dim + 1)
+    points = {tuple(Fraction(x, ray[-1]) for x in ray[:-1]): z
+              for ray, z in zip(rays, zero_sets) if ray[-1] > 0}
+    if not points:
+        return RationalPolytope(dim, (), (), ())
+    if mat_rank(rays) <= dim:
+        return convex_hull(points)
+    vertices = sorted(points)
+    facets = sorted((vneg(D.fan.rays[i]), D.coefficients[i],
+                     frozenset(k for k, v in enumerate(vertices) if i in points[v]))
+                    for i in kept)
+    return RationalPolytope(dim, tuple(vertices), tuple((n, c) for n, c, _ in facets),
+                            tuple(incident for _, _, incident in facets))
 
 
 def newton_polytope(s: SupportFunction) -> RationalPolytope:

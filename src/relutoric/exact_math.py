@@ -14,20 +14,21 @@ the back substitution over the at most n pivot rows uses Fractions.
 Determinants use Bareiss elimination, and hyperplane normals come from
 signed maximal minors.
 
-A :class:`RationalPolytope` stores only its vertex set.  Facet inequalities
-come from the dim-subsets of the vertices, scaled once to a common integer
-lattice, so the side tests are integer comparisons; affine hulls,
-triangulations and lattice-point counts are recomputed on demand.  The
-subset enumeration is exact but grows as C(n, dim), which the intended
-scale (dimension <= 4, a few dozen vertices) affords.
+Every conversion between generators and inequalities — polytope hulls,
+section polytopes, the facets of a cone — is one integer double
+description pass (:func:`double_description`), whose work grows with the
+rays it finds rather than with the C(n, dim) subsets of its input.  A
+:class:`RationalPolytope` keeps what its conversion produced: vertices,
+facet inequalities and which vertices lie on each facet, so lattice-point
+counts and volumes never rebuild them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 
 from .errors import RankDeficient, ZeroVector
 
@@ -221,13 +222,6 @@ def int_det(rows) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def det_fraction(rows) -> Fraction:
-    """Determinant of a square rational matrix: the integer determinant of
-    the rows cleared of denominators, divided by the product of the lcms."""
-    scaled = [clear_denominators(row) for row in rows]
-    return Fraction(int_det([v for v, _ in scaled]), prod(m for _, m in scaled))
-
-
 def integer_kernel_direction(rows) -> IntVec:
     """Primitive integer kernel vector of an (n-1) x n integer matrix.
 
@@ -321,19 +315,111 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# double description
+# ---------------------------------------------------------------------------
+
+def crossing_rays(rays, zero_sets, products, dim: int) -> list[tuple[IntVec, frozenset]]:
+    """Where a hyperplane crosses the edges of a pointed cone in R^dim.
+
+    `rays` are the cone's extreme rays, `zero_sets` the constraints of an
+    inequality description of the cone that are tight on each ray, and
+    `products` the rays' pairings with the hyperplane's normal.  Two rays on
+    opposite sides span an edge when they share at least dim - 2 tight
+    constraints and no third ray is tight on all of them (the combinatorial
+    adjacency test).  Each crossed edge yields one primitive ray on the
+    hyperplane, returned with the edge's common zero set.
+    """
+    crossings = []
+    for a, pa in enumerate(products):
+        if pa <= 0:
+            continue
+        for b, pb in enumerate(products):
+            if pb >= 0:
+                continue
+            common = zero_sets[a] & zero_sets[b]
+            if len(common) < dim - 2 or any(
+                    common <= z for c, z in enumerate(zero_sets) if c != a and c != b):
+                continue
+            ra, rb = rays[a], rays[b]
+            ray, _ = normalize_primitive(tuple(pa * y - pb * x for x, y in zip(ra, rb)))
+            crossings.append((ray, common))
+    return crossings
+
+
+def double_description(rows, dim: int) -> tuple[list[IntVec], list[frozenset], set[int]]:
+    """Extreme rays of the cone {y in R^dim : <row, y> >= 0 for every row}.
+
+    The integer rows must span R^dim, which makes the cone pointed; the cone
+    itself may have any dimension, down to {0}.  The pass starts from the
+    simplicial cone of the first dim independent rows and intersects it with
+    the halfspace of each remaining row in turn, keeping the positive side
+    (Fukuda and Prodon, "Double description method revisited", 1996).  Zero
+    sets range over every processed row, so the adjacency test of
+    :func:`crossing_rays` stays exact when the cone loses dimension.
+
+    Returns the primitive extreme rays, the zero set (row indices) of each,
+    and the rows that define facets.  That set is exact for a
+    full-dimensional cone: a row that cuts the cone defines a facet, and an
+    earlier facet survives a cut exactly when one of its rays lies strictly
+    on the kept side.
+    """
+    basis: list[int] = []
+    for i, row in enumerate(rows):
+        if mat_rank([rows[j] for j in basis] + [row]) > len(basis):
+            basis.append(i)
+            if len(basis) == dim:
+                break
+    if len(basis) < dim:
+        raise RankDeficient(f"rows span rank {len(basis)} < {dim}; the cone has lineality")
+    rays: list[IntVec] = []
+    zero_sets: list[frozenset] = []
+    for i in basis:
+        others = [j for j in basis if j != i]
+        ray = integer_kernel_direction([rows[j] for j in others])
+        rays.append(ray if vdot(rows[i], ray) > 0 else vneg(ray))
+        zero_sets.append(frozenset(others))
+    facets = set(basis)
+    in_basis = set(basis)
+    for j, row in enumerate(rows):
+        if j in in_basis:
+            continue
+        products = [vdot(row, r) for r in rays]
+        crossings = []
+        if any(p < 0 for p in products):
+            crossings = crossing_rays(rays, zero_sets, products, dim)
+            facets &= {i for p, z in zip(products, zero_sets) if p > 0 for i in z}
+            facets.add(j)
+        tight = frozenset((j,))
+        kept = [(r, z | tight if p == 0 else z)
+                for r, z, p in zip(rays, zero_sets, products) if p >= 0]
+        kept += [(r, z | tight) for r, z in crossings]
+        rays = [r for r, _ in kept]
+        zero_sets = [z for _, z in kept]
+    return rays, zero_sets, facets
+
+
+# ---------------------------------------------------------------------------
 # rational polytopes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """Vertex representation of a polytope with exact rational coordinates.
+    """A polytope with exact rational coordinates, in both descriptions.
 
     ``dimension`` is the ambient dimension; the vertex tuple is deduplicated,
     every listed vertex is extreme, and the order is canonical (sorted).
+    ``facets`` are the sorted inequalities ``(normal, offset)``, n . y <= c
+    with primitive integer outward normals, on the pivot coordinates of the
+    affine hull (see :func:`halfspace_representation`); ``incidence`` holds,
+    per facet, the indices of the vertices on it.  Both come from the
+    conversion that made the polytope.  A polytope built from vertices alone
+    leaves them None and gets them from :func:`convex_hull` when needed.
     """
 
     dimension: int
     vertices: tuple[RatVec, ...]
+    facets: tuple[tuple[IntVec, Fraction], ...] | None = field(default=None, compare=False)
+    incidence: tuple[frozenset, ...] | None = field(default=None, compare=False)
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -349,93 +435,41 @@ class RationalPolytope:
 
 
 def convex_hull(points) -> RationalPolytope:
-    """Vertex set of the convex hull of a nonempty set of rational points.
+    """Convex hull of a nonempty set of rational points, with its vertices,
+    facets and their incidence.
 
-    Gift wrapping in (affine) dimension 2; brute-force facet enumeration over
-    point subsets in dimension >= 3.  Interior and non-extreme points are
-    dropped, duplicates are merged.
+    The points are projected to the pivot coordinates of their affine hull,
+    scaled once to integers by the lcm of all denominators and lifted to
+    (p, 1).  One double description pass over the polar cone
+    {(c, c0) : c . p + c0 >= 0} gives the facets -c . y <= c0 / lcm as its
+    extreme rays, and the rows it keeps as facet-defining are exactly the
+    vertices.  Duplicates are merged; interior and non-extreme points are
+    dropped.
     """
     pts = sorted(set(ratvec(p) for p in points))
     if not pts:
         raise ValueError("convex hull of an empty point set")
-    ambient = len(pts[0])
-    if len(pts) == 1:
-        return RationalPolytope(ambient, (pts[0],))
     base = pts[0]
-    dirs = [vsub(p, base) for p in pts[1:]]
-    adim = mat_rank(dirs)
-    if adim == 0:
-        return RationalPolytope(ambient, (base,))
-    cols = pivot_columns(dirs)
-    proj = [tuple(p[c] for c in cols) for p in pts]
-    if adim == 1:
-        idx = [min(range(len(proj)), key=lambda i: proj[i]),
-               max(range(len(proj)), key=lambda i: proj[i])]
-    elif adim == 2:
-        idx = _hull_indices_2d(proj)
-    else:
-        idx = _hull_indices_facets(proj, adim)
-    return RationalPolytope(ambient, tuple(sorted(pts[i] for i in idx)))
-
-
-def _hull_indices_2d(pts) -> list[int]:
-    """Gift wrapping around a full-dimensional planar point set."""
-    start = min(range(len(pts)), key=lambda i: pts[i])
-    hull = [start]
-    while True:
-        cur = hull[-1]
-        cand = next(i for i in range(len(pts)) if i != cur)
-        for i in range(len(pts)):
-            if i == cur or i == cand:
-                continue
-            a = vsub(pts[cand], pts[cur])
-            b = vsub(pts[i], pts[cur])
-            cross = a[0] * b[1] - a[1] * b[0]
-            if cross < 0 or (cross == 0 and vdot(b, b) > vdot(a, a)):
-                cand = i
-        if cand == start:
-            break
-        hull.append(cand)
-    return hull
-
-
-def _hull_indices_facets(pts, dim: int) -> list[int]:
-    """Vertices via facet enumeration: a point is extreme iff its active
-    facet normals span the full dimension."""
-    facets = _facets_of_points(pts, dim)
-    vertex_idx = []
-    for i, p in enumerate(pts):
-        active = [n for n, c in facets if vdot(n, p) == c]
-        if len(active) >= dim and mat_rank(active) == dim:
-            vertex_idx.append(i)
-    return vertex_idx
-
-
-def _facets_of_points(pts, dim: int) -> list[tuple[IntVec, Fraction]]:
-    """Facet inequalities n . x <= c of the hull of a full-dimensional
-    point set, with primitive integer outward normals.
-
-    The point set is scaled once to integers by the lcm of all its
-    denominators.  Each dim-subset spanning a hyperplane gives a candidate
-    normal, and the side tests run on integers.
-    """
-    scaled = [clear_denominators(p) for p in pts]
+    cols = pivot_columns([vsub(p, base) for p in pts[1:]])
+    if not cols:
+        return RationalPolytope(len(base), (base,), (), ())
+    scaled = [clear_denominators(tuple(p[c] for c in cols)) for p in pts]
     mult = lcm(*[m for _, m in scaled])
-    ipts = [tuple(x * (mult // m) for x in v) for v, m in scaled]
-    facets = set()
-    for subset in itertools.combinations(ipts, dim):
-        base = subset[0]
-        try:
-            normal = integer_kernel_direction([vsub(p, base) for p in subset[1:]])
-        except RankDeficient:
-            continue
-        offset = vdot(normal, base)
-        sides = [vdot(normal, p) for p in ipts]
-        if max(sides) == offset:
-            facets.add((normal, Fraction(offset, mult)))
-        elif min(sides) == offset:
-            facets.add((vneg(normal), Fraction(-offset, mult)))
-    return sorted(facets)
+    rows = [tuple(x * (mult // m) for x in v) + (1,) for v, m in scaled]
+    rays, zero_sets, kept = double_description(rows, len(cols) + 1)
+    order = sorted(kept)
+    index = {i: k for k, i in enumerate(order)}
+    facets = sorted((vneg(ray[:-1]), Fraction(ray[-1], mult),
+                     frozenset(index[i] for i in z if i in index))
+                    for ray, z in zip(rays, zero_sets))
+    return RationalPolytope(len(base), tuple(pts[i] for i in order),
+                            tuple((n, c) for n, c, _ in facets),
+                            tuple(incident for _, _, incident in facets))
+
+
+def _described(P: RationalPolytope) -> RationalPolytope:
+    """P itself when it carries its facets, else the hull of its vertices."""
+    return P if P.facets is not None else convex_hull(P.vertices)
 
 
 def halfspace_representation(P: RationalPolytope):
@@ -444,28 +478,18 @@ def halfspace_representation(P: RationalPolytope):
     Returns ``(equalities, cols, facets)`` where `equalities` is a list of
     ``(covector, offset)`` pairs cutting out the affine hull, `cols` are the
     pivot coordinates identifying the hull with R^adim, and `facets` are
-    ``(normal, offset)`` inequalities (n . y <= c) on the projected polytope.
+    ``(normal, offset)`` inequalities (n . y <= c) on the projected polytope,
+    as the polytope stores them.
     """
     if P.is_empty():
         return [], [], []
     base = P.vertices[0]
     dirs = [vsub(v, base) for v in P.vertices[1:]]
-    adim = mat_rank(dirs) if dirs else 0
     equalities = []
-    for cov in nullspace_covectors(dirs, P.dimension) if adim < P.dimension else []:
+    for cov in nullspace_covectors(dirs, P.dimension):
         normal = rational_to_primitive(cov)
         equalities.append((normal, frac(vdot(normal, base))))
-    cols = pivot_columns(dirs) if adim else []
-    proj = [tuple(v[c] for c in cols) for v in P.vertices]
-    if adim == 0:
-        facets = []
-    elif adim == 1:
-        lo = min(p[0] for p in proj)
-        hi = max(p[0] for p in proj)
-        facets = [((-1,), -lo), ((1,), hi)]
-    else:
-        facets = _facets_of_points(proj, adim)
-    return equalities, cols, facets
+    return equalities, pivot_columns(dirs), list(_described(P).facets)
 
 
 def lattice_point_count(P: RationalPolytope, m: int) -> int:
@@ -546,42 +570,45 @@ def _lift_is_integral(lift, y, m: int) -> bool:
 def euclidean_volume(P: RationalPolytope) -> Fraction:
     """Exact volume in the ambient dimension; 0 for lower-dimensional sets.
 
-    Triangulates recursively from a fixed vertex over facet pyramids and
-    sums simplex determinants.
+    Sums the pyramids from the first vertex over the facets that miss it,
+    each facet dissected the same way (:func:`_dissect`), and the simplex
+    determinants of the vertices scaled once to integers.
     """
     if P.is_empty() or P.affine_dimension() < P.dimension:
         return Fraction(0)
+    P = _described(P)
     n = P.dimension
-    verts = list(P.vertices)
-    total = Fraction(0)
-    for simplex in _triangulate(verts, n):
-        v0 = verts[simplex[0]]
-        edges = [vsub(verts[i], v0) for i in simplex[1:]]
-        total += abs(det_fraction(edges))
-    return total / factorial(n)
+    scaled = [clear_denominators(v) for v in P.vertices]
+    mult = lcm(*[m for _, m in scaled])
+    pts = [tuple(x * (mult // m) for x in v) for v, m in scaled]
+    total = 0
+    for simplex in _dissect(frozenset(range(len(pts))), P.incidence, n):
+        v0 = pts[simplex[0]]
+        total += abs(int_det([vsub(pts[i], v0) for i in simplex[1:]]))
+    return Fraction(total, mult ** n * factorial(n))
 
 
-def _triangulate(pts, dim: int):
-    """Combinatorial triangulation (index tuples) of a full-dimensional
-    vertex set, by pyramids from the first vertex over far facets."""
-    if dim == 1:
-        lo = min(range(len(pts)), key=lambda i: pts[i])
-        hi = max(range(len(pts)), key=lambda i: pts[i])
-        return [(lo, hi)]
-    facets = _facets_of_points(pts, dim)
-    apex = 0
+def _dissect(face: frozenset, facets, dim: int) -> list[tuple[int, ...]]:
+    """Simplices (vertex index tuples) dissecting a polytope face of
+    dimension `dim`, given the vertex sets of its facets.
+
+    Pyramids from the face's lowest vertex over the facets that miss it; a
+    facet with `dim` vertices is a simplex, any other is dissected in turn.
+    The facets of a facet F are the inclusion-maximal sets F & G over the
+    other facets G: each ridge of F lies in exactly one other facet, and
+    every other F & G is a smaller face of F.
+    """
+    apex = min(face)
     simplices = []
-    for normal, offset in facets:
-        if vdot(normal, pts[apex]) == offset:
+    for facet in facets:
+        if apex in facet:
             continue
-        on_facet = [i for i, p in enumerate(pts) if vdot(normal, p) == offset]
-        facet_pts = [pts[i] for i in on_facet]
-        base = facet_pts[0]
-        dirs = [vsub(p, base) for p in facet_pts[1:]]
-        cols = pivot_columns(dirs)
-        proj = [tuple(p[c] for c in cols) for p in facet_pts]
-        for sub in _triangulate(proj, dim - 1):
-            simplices.append((apex,) + tuple(on_facet[i] for i in sub))
+        if len(facet) == dim:
+            simplices.append((apex,) + tuple(sorted(facet)))
+            continue
+        meets = {facet & other for other in facets if other != facet}
+        ridges = [r for r in meets if not any(r < s for s in meets)]
+        simplices.extend((apex,) + s for s in _dissect(facet, ridges, dim - 1))
     return simplices
 
 

@@ -24,9 +24,12 @@ from .errors import Biased, NotEssential, RelutoricError, UnsupportedDimension
 from .exact_math import (
     IntVec,
     clear_denominators,
+    crossing_rays,
+    double_description,
     integer_kernel_direction,
     is_zero_vector,
     mat_rank,
+    nullspace_covectors,
     rational_to_primitive,
     sign_canonical,
     vdot,
@@ -149,43 +152,21 @@ class FanReport:
 # low-level cone machinery
 # ---------------------------------------------------------------------------
 
-def _facet_normals(rays, candidates, dim: int) -> tuple[IntVec, ...]:
-    """Filter candidate valid constraints down to facet-defining ones."""
-    facets = []
-    seen = set()
-    for n in candidates:
-        if n in seen:
-            continue
-        seen.add(n)
-        tight = [r for r in rays if vdot(n, r) == 0]
-        if tight and mat_rank(tight) == dim - 1:
-            facets.append(n)
-    return tuple(sorted(facets))
-
-
-def halfspaces_from_rays(rays, dim: int) -> tuple[IntVec, ...]:
-    """Irredundant inward facet normals of a full-dimensional cone given by
-    generators.  Brute force over (dim-1)-subsets of the rays."""
-    rays = [tuple(int(x) for x in r) for r in rays]
-    candidates = set()
-    for subset in itertools.combinations(rays, dim - 1):
-        if mat_rank(subset) != dim - 1:
-            continue
-        normal = integer_kernel_direction(subset)
-        for n in (normal, vneg(normal)):
-            if all(vdot(n, r) >= 0 for r in rays):
-                candidates.add(n)
-    return _facet_normals(rays, sorted(candidates), dim)
-
-
 def cone_from_rays(rays, dim: int) -> Cone:
+    """The cone generated by the given rays, with its inward facet normals:
+    the extreme rays of the dual cone {c : c . g >= 0 for every generator
+    g}, found by one double description pass.  A cone that is not
+    full-dimensional also gets both signs of each equation of its span, so
+    its halfspaces still cut out exactly the cone."""
     prim = []
     for r in rays:
         p = rational_to_primitive(r)
         if p not in prim:
             prim.append(p)
-    halfspaces = halfspaces_from_rays(prim, dim)
-    return Cone(tuple(sorted(prim)), halfspaces, dim)
+    equations = [rational_to_primitive(c) for c in nullspace_covectors(prim, dim)]
+    equations += [vneg(e) for e in equations]
+    normals, _, _ = double_description(prim + equations, dim)
+    return Cone(tuple(sorted(prim)), tuple(sorted(normals + equations)), dim)
 
 
 def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
@@ -193,28 +174,17 @@ def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
 
     Returns (negative side, positive side) or None when the hyperplane does
     not separate the cone's interior.  This is one double-description step
-    in integers: it needs the cone's rays to be exactly its extreme rays and
-    its facets to be irredundant, which every cone this engine makes
-    satisfies, and `cut` to be primitive.  Two rays on opposite sides span
-    an edge of the cone unless a third ray is tight on every facet that both
-    are tight on; each edge the cut crosses yields one new ray.
+    in integers (:func:`crossing_rays`): it needs the cone's rays to be
+    exactly its extreme rays and its facets to be irredundant, which every
+    cone this engine makes satisfies, and `cut` to be primitive.  Each edge
+    of the cone that the cut crosses yields one new ray.
     """
     products = [vdot(cut, r) for r in cone.rays]
     if not (any(p > 0 for p in products) and any(p < 0 for p in products)):
         return None
     tight = [frozenset(i for i, n in enumerate(cone.halfspaces) if vdot(n, r) == 0)
              for r in cone.rays]
-    new_rays = []
-    for a, pa in enumerate(products):
-        for b, pb in enumerate(products):
-            if pa <= 0 or pb >= 0:
-                continue
-            common = tight[a] & tight[b]
-            if any(common <= t for c, t in enumerate(tight) if c != a and c != b):
-                continue
-            ra, rb = cone.rays[a], cone.rays[b]
-            new_rays.append(rational_to_primitive(
-                tuple(pa * y - pb * x for x, y in zip(ra, rb))))
+    new_rays = [r for r, _ in crossing_rays(cone.rays, tight, products, cone.dim)]
 
     def side(sign: int) -> Cone:
         rays = [r for r, p in zip(cone.rays, products) if sign * p >= 0] + new_rays

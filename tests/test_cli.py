@@ -120,6 +120,43 @@ class TestPolytopeAndVolume:
         assert payload["ehrhart"] == [6, 3, "20/9", "15/8"]
 
 
+class TestSectionPolytopeCases:
+    """Divisors that are not nef, with empty or lower-dimensional section
+    polytopes; the benchmark corpus reaches none of them."""
+
+    @pytest.mark.parametrize("flags", [(), ("--negate",)])
+    def test_difference_of_maxima_has_no_sections(self, capsys, tmp_path, flags):
+        doc = {"dim": 2, "expr": "max(x1, x2) - max(x1, 0)"}
+        code, payload = run_json(capsys, tmp_path, "polytope", doc, *flags)
+        assert code == 0
+        assert payload == {"dimension": 2, "vertices": [], "empty": True}
+
+    @pytest.mark.parametrize("flags, vertex", [((), [1, 1]), (("--negate",), [-1, -1])])
+    def test_linear_function_gives_a_point(self, capsys, tmp_path, flags, vertex):
+        doc = {"dim": 2, "expr": "x1 + x2"}
+        code, payload = run_json(capsys, tmp_path, "polytope", doc, *flags)
+        assert code == 0
+        assert payload == {"dimension": 2, "vertices": [vertex], "empty": False}
+
+    def test_segment_in_space(self, capsys, tmp_path):
+        doc = {"dim": 3, "expr": "max(x1, 0)"}
+        code, payload = run_json(capsys, tmp_path, "volume", doc, "--m-max", "2")
+        assert code == 0
+        assert payload["polytope"]["vertices"] == [[-1, 0, 0], [0, 0, 0]]
+        assert payload["line_bundle_volume"] == 0
+        assert payload["newton_volume"] == 0
+        assert payload["ehrhart"] == [12, "9/4"]
+
+    def test_empty_volume(self, capsys, tmp_path):
+        doc = {"dim": 2, "expr": "max(x1, -x1) - 2*max(x2, -x2)"}
+        code, payload = run_json(capsys, tmp_path, "volume", doc, "--m-max", "2")
+        assert code == 0
+        assert payload["polytope"]["empty"] is True
+        assert payload["line_bundle_volume"] == 0
+        assert payload["newton_volume"] is None
+        assert payload["ehrhart"] == [0, 0]
+
+
 class TestReduceAndShift:
     def test_reduce(self, capsys, tmp_path):
         doc = {"architecture": [2, 1, 1],

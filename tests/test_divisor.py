@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relutoric.errors import (
     InconsistentRayValue,
@@ -29,9 +32,24 @@ from relutoric.divisor import (
     wall_curve,
     wall_numbers,
 )
-from relutoric.exact_math import vadd, vdot
+from relutoric.exact_math import (
+    convex_hull,
+    int_det,
+    mat_rank,
+    mixed_volume,
+    solve_exact,
+    vadd,
+    vdot,
+)
 from relutoric.expressions import evaluate_expression, parse_expression, parse_and_compile
-from relutoric.fan import Fan, build_relu_fan, cone_containing, cone_from_rays
+from relutoric.fan import (
+    Fan,
+    build_relu_fan,
+    central_fan,
+    cone_containing,
+    cone_from_rays,
+    hyperplane,
+)
 from relutoric.network import network
 from conftest import SIXPIECE_EXPR, bend_oracle, rand_point, rand_rational
 
@@ -410,3 +428,95 @@ class TestSupportOnFan:
     def test_valid_data_accepted(self, golden_support):
         s = support_on_fan(golden_support.fan, golden_support.slopes)
         assert s.slopes == golden_support.slopes
+
+
+# ---------------------------------------------------------------------------
+# section and Newton polytopes against enumerations and closed forms
+# ---------------------------------------------------------------------------
+
+def reference_section_vertices(D):
+    """Vertices of P_D by brute force: every dim-subset of independent ray
+    constraints meets in one point, a vertex when it satisfies them all."""
+    dim = D.fan.dim
+    rays = D.fan.rays
+    rhs = [-a for a in D.coefficients]
+    vertices = set()
+    for subset in itertools.combinations(range(len(rays)), dim):
+        rows = [rays[i] for i in subset]
+        if mat_rank(rows) != dim:
+            continue
+        point = solve_exact(rows, [rhs[i] for i in subset])
+        if all(vdot(rays[i], point) >= rhs[i] for i in range(len(rays))):
+            vertices.add(point)
+    return tuple(sorted(vertices))
+
+
+@st.composite
+def divisors_on_arrangement_fans(draw):
+    """Small coefficients on the rays of random central fans in dimension
+    2..4.  In a sample of 200, 141 were not nef; 99 section polytopes were
+    empty, 44 lower-dimensional and 57 full-dimensional."""
+    dim = draw(st.integers(2, 4))
+    normals = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                            min_size=dim, max_size=6 if dim == 2 else 5))
+    assume(mat_rank(normals) == dim)
+    fan = central_fan([hyperplane(n) for n in normals], dim)
+    coefficient = st.sampled_from([F(0), F(0), F(1), F(1), F(2), F(1, 2), F(-1, 2)])
+    return ToricDivisor(fan, tuple(draw(st.lists(
+        coefficient, min_size=len(fan.rays), max_size=len(fan.rays)))))
+
+
+class TestSectionPolytopeAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(divisors_on_arrangement_fans())
+    def test_vertices_facets_and_incidence(self, D):
+        P = polytope_of_divisor(D)
+        assert P.vertices == reference_section_vertices(D)
+        if P.vertices:
+            hull = convex_hull(P.vertices)
+            assert P.facets == hull.facets
+            assert P.incidence == hull.incidence
+
+
+@st.composite
+def zonotope_nets(draw):
+    """Integer rows spanning R^d, d = 2..4, with positive output weights:
+    the network computes a convex function whose Newton polytope is the
+    zonotope of the weighted rows."""
+    dim = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                         min_size=dim, max_size=6))
+    assume(mat_rank(rows) == dim)
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    return rows, weights
+
+
+def _zonotope_normalized_volume(rows, weights):
+    gens = [[w * x for x in row] for row, w in zip(rows, weights)]
+    dim = len(rows[0])
+    return factorial(dim) * sum(abs(int_det(list(s)))
+                                for s in itertools.combinations(gens, dim))
+
+
+class TestZonotopeOracle:
+    """A zonotope is dual to the central arrangement of its generators: its
+    vertices match the arrangement's maximal cones (Zaslavsky's count), and
+    its volume is the sum of |det| over the dim-subsets of generators."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(zonotope_nets())
+    def test_vertex_count_and_volume(self, zonotope):
+        rows, weights = zonotope
+        P = newton_polytope(support_of_network(network([rows, [weights]])))
+        arrangement = central_fan([hyperplane(r) for r in rows], len(rows[0]))
+        assert len(P.vertices) == len(arrangement.maximal_cones)
+        assert mixed_volume(P) == _zonotope_normalized_volume(rows, weights)
+
+    def test_seeded_4_6_1_zonotope(self):
+        # corpus.zonotope_net(random.Random(1), 4, 6, 2, 3), written out
+        rows = [[-1, 2, -2, 0], [-2, 1, 1, 1], [1, -1, -2, 1], [-2, 1, 1, 2],
+                [-2, 1, 0, -1], [2, -2, 0, -2]]
+        weights = [1, 1, 3, 3, 1, 2]
+        P = newton_polytope(support_of_network(network([rows, [weights]])))
+        assert len(P.vertices) == 50
+        assert mixed_volume(P) == 29016 == _zonotope_normalized_volume(rows, weights)

@@ -1,16 +1,18 @@
-"""Oracle tests for the fraction-free elimination and the integer facet
-enumeration in exact_math.
+"""Oracle tests for the fraction-free elimination and the double
+description hulls in exact_math.
 
 The linear algebra is checked against sympy's exact rational matrices.  The
-facet enumeration is checked against the earlier Fraction implementation,
-which is kept below as the reference: Gauss-Jordan over Fractions for the
-candidate normal, and Fraction side tests.
+hull facets are checked against two subset enumerations kept below as
+references: the earlier Fraction implementation (Gauss-Jordan over
+Fractions for the candidate normal, and Fraction side tests) and the
+integer one that preceded the double description.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -21,7 +23,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from relutoric.errors import RankDeficient  # noqa: E402
 from relutoric.exact_math import (  # noqa: E402
-    _facets_of_points,
+    clear_denominators,
+    convex_hull,
+    integer_kernel_direction,
     mat_rank,
     nullspace_covectors,
     pivot_columns,
@@ -192,16 +196,98 @@ class TestFacetsAgainstFractionReference:
     @settings(max_examples=60, deadline=None)
     @given(point_sets(3, 9))
     def test_three_dimensional(self, pts):
-        assert _facets_of_points(pts, 3) == reference_facets(pts, 3)
+        assert list(convex_hull(pts).facets) == reference_facets(pts, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(point_sets(4, 8))
     def test_four_dimensional(self, pts):
-        assert _facets_of_points(pts, 4) == reference_facets(pts, 4)
+        assert list(convex_hull(pts).facets) == reference_facets(pts, 4)
 
     def test_offsets_keep_the_common_denominator(self):
         # the cube [0, 1/2]^3 scaled by 2 to integers and back
         cube = [tuple(F(c, 2) for c in v) for v in itertools.product((0, 1), repeat=3)]
-        facets = _facets_of_points(cube, 3)
+        facets = list(convex_hull(cube).facets)
         assert facets == reference_facets(cube, 3)
         assert {c for _, c in facets} == {F(0), F(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the double description hull against the subset enumeration it replaced
+# ---------------------------------------------------------------------------
+
+def _facets_of_points(pts, dim):
+    """Facet inequalities n . x <= c of the hull of a full-dimensional point
+    set: every dim-subset spanning a hyperplane gives a candidate primitive
+    normal, and the side tests run on the points scaled to integers."""
+    scaled = [clear_denominators(p) for p in pts]
+    mult = lcm(*[m for _, m in scaled])
+    ipts = [tuple(x * (mult // m) for x in v) for v, m in scaled]
+    facets = set()
+    for subset in itertools.combinations(ipts, dim):
+        base = subset[0]
+        try:
+            normal = integer_kernel_direction([vsub(p, base) for p in subset[1:]])
+        except RankDeficient:
+            continue
+        offset = vdot(normal, base)
+        sides = [vdot(normal, p) for p in ipts]
+        if max(sides) == offset:
+            facets.add((normal, F(offset, mult)))
+        elif min(sides) == offset:
+            facets.add((vneg(normal), F(-offset, mult)))
+    return sorted(facets)
+
+
+def reference_hull(points):
+    """Vertices and facets (on the pivot coordinates of the affine hull) by
+    subset enumeration: a point is a vertex when the normals of its facets
+    span the affine hull."""
+    pts = sorted(set(tuple(F(x) for x in p) for p in points))
+    cols = pivot_columns([vsub(p, pts[0]) for p in pts[1:]])
+    proj = [tuple(p[c] for c in cols) for p in pts]
+    if not cols:
+        return pts[:1], []
+    if len(cols) == 1:
+        lo, hi = min(proj), max(proj)
+        return sorted({pts[proj.index(lo)], pts[proj.index(hi)]}), [
+            ((-1,), -lo[0]), ((1,), hi[0])]
+    facets = _facets_of_points(proj, len(cols))
+    vertices = [p for p, y in zip(pts, proj)
+                if mat_rank([n for n, c in facets if vdot(n, y) == c]) == len(cols)]
+    return vertices, facets
+
+
+@st.composite
+def degenerate_point_sets(draw):
+    """Rational points in dimension 2..4 spanning an affine subspace of any
+    dimension, on a coarse lattice of it so that collinear and coplanar
+    triples, edge midpoints and duplicates are common."""
+    dim = draw(st.integers(2, 4))
+    span = draw(st.integers(1, dim))
+    coord = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    base = draw(st.tuples(*[coord] * dim))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                         min_size=span, max_size=span))
+    coefficients = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * span),
+                                 min_size=1, max_size=10))
+    pts = [tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+           for cs in coefficients]
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1),
+                                    st.integers(0, len(pts) - 1)), max_size=4))
+    pts += [tuple((x + y) / 2 for x, y in zip(pts[i], pts[j])) for i, j in pairs]
+    return pts
+
+
+class TestHullAgainstSubsetReference:
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_point_sets())
+    def test_vertices_facets_and_incidence(self, pts):
+        hull = convex_hull(pts)
+        vertices, facets = reference_hull(pts)
+        assert list(hull.vertices) == vertices
+        assert list(hull.facets) == facets
+        cols = pivot_columns([vsub(v, hull.vertices[0]) for v in hull.vertices[1:]])
+        proj = [tuple(v[c] for c in cols) for v in hull.vertices]
+        assert list(hull.incidence) == [
+            frozenset(k for k, y in enumerate(proj) if vdot(n, y) == c)
+            for n, c in facets]

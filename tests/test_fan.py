@@ -13,6 +13,8 @@ from relutoric.exact_math import (
     int_det,
     integer_kernel_direction,
     mat_rank,
+    nullspace_covectors,
+    rational_to_primitive,
     solve_exact,
     vdot,
     vneg,
@@ -24,7 +26,6 @@ from relutoric.fan import (
     Cone,
     Fan,
     _assemble_fan,
-    _facet_normals,
     _split_cone,
     build_relu_fan,
     central_fan,
@@ -503,6 +504,35 @@ def _planar_cells(rays):
     return cones
 
 
+def _facet_normals(rays, candidates, dim):
+    """Filter candidate valid constraints down to facet-defining ones."""
+    facets = []
+    seen = set()
+    for n in candidates:
+        if n in seen:
+            continue
+        seen.add(n)
+        tight = [r for r in rays if vdot(n, r) == 0]
+        if tight and mat_rank(tight) == dim - 1:
+            facets.append(n)
+    return tuple(sorted(facets))
+
+
+def reference_halfspaces(rays, dim):
+    """Inward facet normals of a full-dimensional cone given by generators,
+    by brute force over (dim-1)-subsets of the rays."""
+    rays = [tuple(int(x) for x in r) for r in rays]
+    candidates = set()
+    for subset in itertools.combinations(rays, dim - 1):
+        if mat_rank(subset) != dim - 1:
+            continue
+        normal = integer_kernel_direction(subset)
+        for n in (normal, vneg(normal)):
+            if all(vdot(n, r) >= 0 for r in rays):
+                candidates.add(n)
+    return _facet_normals(rays, sorted(candidates), dim)
+
+
 def _cells_by_sign_vector(normals, rays, dim):
     ray_signs = [tuple(vdot(n, r) for n in normals) for r in rays]
     cones = []
@@ -624,3 +654,42 @@ class TestSplittingEngine:
         octant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
         assert _split_cone(octant, (1, 0, 0)) is None
         assert _split_cone(octant, (1, 1, 0)) is None
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to 7 integer generators in [-3, 3]^d, d = 2..4: cones with lines,
+    half-spaces, repeated and non-primitive generators, and flat cones."""
+    dim = draw(st.integers(2, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim).filter(any),
+                         min_size=1, max_size=7))
+    return dim, rays
+
+
+class TestConeFacetsAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_sets())
+    def test_matches_subset_enumeration(self, generators):
+        dim, rays = generators
+        cone = cone_from_rays(rays, dim)
+        if mat_rank(rays) == dim:
+            assert cone.halfspaces == reference_halfspaces(rays, dim)
+            return
+        # a flat cone: its facets inside the span, lifted along the span's
+        # orthogonal complement, and both signs of each equation of the span
+        equations = [rational_to_primitive(c) for c in nullspace_covectors(rays, dim)]
+        equations += [vneg(e) for e in equations]
+        assert cone.halfspaces == tuple(sorted(
+            reference_halfspaces(list(rays) + equations, dim) + tuple(equations)))
+
+    def test_half_plane_keeps_its_generators(self):
+        cone = cone_from_rays([(2, 0), (0, 1), (-1, 0)], 2)
+        assert cone.rays == ((-1, 0), (0, 1), (1, 0))
+        assert cone.halfspaces == ((0, 1),)
+
+    def test_flat_cone_is_cut_to_its_span(self):
+        cone = cone_from_rays([(1, 0, 0), (0, 1, 0)], 3)
+        assert cone.halfspaces == ((0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert cone.contains((1, 2, 0))
+        assert not cone.contains((1, 2, 1))
+        assert not cone.contains((-1, 2, 0))
