@@ -453,9 +453,8 @@ def convex_hull(points) -> RationalPolytope:
     cols = pivot_columns([vsub(p, base) for p in pts[1:]])
     if not cols:
         return RationalPolytope(len(base), (base,), (), ())
-    scaled = [clear_denominators(tuple(p[c] for c in cols)) for p in pts]
-    mult = lcm(*[m for _, m in scaled])
-    rows = [tuple(x * (mult // m) for x in v) + (1,) for v, m in scaled]
+    scaled, mult = _common_integer_scale([tuple(p[c] for c in cols) for p in pts])
+    rows = [p + (1,) for p in scaled]
     rays, zero_sets, kept = double_description(rows, len(cols) + 1)
     order = sorted(kept)
     index = {i: k for k, i in enumerate(order)}
@@ -465,6 +464,14 @@ def convex_hull(points) -> RationalPolytope:
     return RationalPolytope(len(base), tuple(pts[i] for i in order),
                             tuple((n, c) for n, c, _ in facets),
                             tuple(incident for _, _, incident in facets))
+
+
+def _common_integer_scale(points) -> tuple[list[IntVec], int]:
+    """Rational points scaled to integers by the lcm of all their
+    denominators, and that lcm."""
+    scaled = [clear_denominators(p) for p in points]
+    mult = lcm(*[m for _, m in scaled])
+    return [tuple(x * (mult // m) for x in v) for v, m in scaled], mult
 
 
 def _described(P: RationalPolytope) -> RationalPolytope:
@@ -578,9 +585,7 @@ def euclidean_volume(P: RationalPolytope) -> Fraction:
         return Fraction(0)
     P = _described(P)
     n = P.dimension
-    scaled = [clear_denominators(v) for v in P.vertices]
-    mult = lcm(*[m for _, m in scaled])
-    pts = [tuple(x * (mult // m) for x in v) for v, m in scaled]
+    pts, mult = _common_integer_scale(P.vertices)
     total = 0
     for simplex in _dissect(frozenset(range(len(pts))), P.incidence, n):
         v0 = pts[simplex[0]]
