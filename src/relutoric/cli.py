@@ -41,7 +41,7 @@ from .jsonio import (
     encode_vector,
 )
 from .network import NeuronId, affine_shift, evaluate, neuron_value, reduce_shallow
-from .realizability import criterion_check, synthesize_shallow, verify_up_to_linear
+from .realizability import criterion_check, synthesize_shallow, verify_synthesis
 from .svg import render_fan_svg
 
 COMMANDS = ("eval", "fan", "divisor", "intersect", "classify", "polytope",
@@ -264,7 +264,7 @@ def _cmd_realize(job: JobSpec) -> JobResult:
         payload["witness"] = None
     if report.realizable:
         net = synthesize_shallow(support, report)
-        ok, correction = verify_up_to_linear(support, net)
+        ok, correction = verify_synthesis(report, net)
         payload["synthesis"] = {
             "network": encode_network(net),
             "linear_correction": {

@@ -32,7 +32,6 @@ from .exact_math import (
     convex_hull,
     double_description,
     frac,
-    kernel_normal,
     lattice_point_count,
     mat_rank,
     mixed_volume,
@@ -248,13 +247,14 @@ def add_divisors(D: ToricDivisor, E: ToricDivisor) -> ToricDivisor:
 def wall_curve(fan: Fan, wall: Wall) -> WallCurve:
     """Quotient normal and lattice lift for a wall's invariant curve.
 
-    The primitive normal of the wall span is oriented to be nonnegative on
-    the higher-indexed incident cone sigma'; the lift u solves <phi, u> = 1
+    The quotient normal is `wall.normal`, the primitive sign-canonical
+    normal of the wall span, oriented to be nonnegative on the
+    higher-indexed incident cone sigma'; the lift u solves <phi, u> = 1
     and is pushed into sigma' along the wall's interior direction, so u maps
     to the minimal generator of the quotient image of sigma'.
     """
     second = fan.maximal_cones[wall.cones[1]]
-    phi = kernel_normal(wall.generators, fan.dim)
+    phi = wall.normal
     outside = next(r for r in second.rays if r not in wall.generators)
     if vdot(phi, outside) < 0:
         phi = vneg(phi)

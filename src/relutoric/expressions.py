@@ -120,12 +120,17 @@ class _Lexer:
 def parse_expression(text: str, dim: int) -> Expr:
     """Parse, resolve variables against the declared dimension, and verify
     positive homogeneity (constants must cancel)."""
+    expr = _parse(text, dim)
+    _check_homogeneous(expr, dim)
+    return expr
+
+
+def _parse(text: str, dim: int) -> Expr:
     lexer = _Lexer(text)
     expr = _parse_expr(lexer, dim)
     lexer.skip_ws()
     if lexer.pos != len(text):
         raise ParseError(lexer.pos, "trailing input")
-    _check_homogeneous(expr, dim)
     return expr
 
 
@@ -254,9 +259,10 @@ def affine_forms(expr: Expr, dim: int) -> set:
     if isinstance(expr, Sum):
         forms = {(zero, Fraction(0))}
         for term in expr.terms:
+            term_forms = affine_forms(term, dim)
             forms = {(vadd(s1, s2), c1 + c2)
                      for s1, c1 in forms
-                     for s2, c2 in affine_forms(term, dim)}
+                     for s2, c2 in term_forms}
         return forms
     if isinstance(expr, Max):
         out = set()
@@ -366,4 +372,6 @@ def _value_and_slope(expr: Expr, point, dim: int):
 
 
 def parse_and_compile(text: str, dim: int) -> SupportFunction:
-    return compile_expression(parse_expression(text, dim), dim)
+    """Support function of an expression document; its homogeneity is
+    checked once, by `compile_expression`."""
+    return compile_expression(_parse(text, dim), dim)

@@ -97,11 +97,17 @@ class Cone:
 
 @dataclass(frozen=True)
 class Wall:
-    """A codimension-one cone shared by two maximal cones."""
+    """A codimension-one cone shared by two maximal cones.
+
+    `normal` is the primitive, sign-canonical normal of the wall's span: the
+    shared facet normal of its two cones, which every fan here keeps
+    primitive.  It vanishes on every generator, so it equals
+    `kernel_normal(generators)`.
+    """
 
     generators: tuple[IntVec, ...]
     cones: tuple[int, int]
-    normal: IntVec                       # sign-canonical normal of the span
+    normal: IntVec
     kind: str = UNKNOWN
     neurons: tuple[tuple[int, int], ...] = ()
 

@@ -6,11 +6,17 @@ hyperplanes, the wall bends are constant along each hyperplane.  The check
 is exact; on success, explicit integer first-layer rows and rational output
 weights are synthesized (one neuron per bend hyperplane, function recovered
 up to an explicit linear correction).
+
+Verification runs on the criterion fan: its hyperplanes are the synthesized
+net's own first-layer rows (plus zero-bend coordinate hyperplanes), so it
+refines the net's activation regions and the net's slopes are read off its
+cones directly.  `verify_up_to_linear` compares a function with any net on
+a common refinement and stays the reference for nets of other origin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CriterionFailed, RelutoricError
@@ -24,6 +30,7 @@ from .fan import (
 )
 from .divisor import (
     SupportFunction,
+    extract_support,
     intersection_number,
     support_of_network,
 )
@@ -53,10 +60,14 @@ class Synthesis:
 
 @dataclass(frozen=True)
 class RealizabilityReport:
+    """`refined` is the function transferred onto the criterion fan, kept so
+    that a synthesized net can be verified without building another fan."""
+
     realizable: bool
     groups: tuple[HyperplaneGroup, ...]
     witness: HyperplaneGroup | None = None
     synthesis: Synthesis | None = None
+    refined: SupportFunction | None = field(default=None, compare=False)
 
 
 def as_support(obj) -> SupportFunction:
@@ -81,11 +92,17 @@ def transfer_support(s: SupportFunction, fan: Fan) -> SupportFunction:
 
 def nonlinear_locus_hyperplanes(s: SupportFunction) -> tuple[Hyperplane, ...]:
     """Span hyperplanes of the walls where the function actually bends,
-    ordered by sign-canonical normal."""
-    normals = []
-    for wall in s.fan.walls:
-        if intersection_number(s, wall) != 0 and wall.normal not in normals:
-            normals.append(wall.normal)
+    ordered by sign-canonical normal.
+
+    A wall bends exactly when its two cones carry different slopes.  The
+    function must be continuous across the wall, as every support function
+    built by this package is: then m_sigma - m_sigma' vanishes on the wall's
+    span, so it is c * phi for the wall's primitive normal phi, and the
+    wall's intersection number <m_sigma - m_sigma', u> with <phi, u> = 1 is
+    c, which is nonzero iff the slopes differ.
+    """
+    normals = {wall.normal for wall in s.fan.walls
+               if s.slopes[wall.cones[0]] != s.slopes[wall.cones[1]]}
     return tuple(Hyperplane(n, EXTENDED) for n in sorted(normals))
 
 
@@ -117,7 +134,8 @@ def criterion_check(cpwl) -> RealizabilityReport:
         groups.append(group)
         if witness is None and not group.passes:
             witness = group
-    return RealizabilityReport(witness is None, tuple(groups), witness)
+    return RealizabilityReport(witness is None, tuple(groups), witness,
+                               refined=refined)
 
 
 def synthesize_shallow(cpwl, report: RealizabilityReport | None = None) -> ValidatedNetwork:
@@ -159,6 +177,14 @@ def common_refinement(supports) -> list[SupportFunction]:
     return [transfer_support(s, fan) for s in supports]
 
 
+def _linear_difference(f: SupportFunction, g: SupportFunction) -> tuple[bool, RatVec]:
+    """Whether two supports on one fan differ by a linear function: the
+    slope difference on the first cone, asserted on every other cone."""
+    correction = vsub(f.slopes[0], g.slopes[0])
+    equal = all(vsub(a, b) == correction for a, b in zip(f.slopes, g.slopes))
+    return equal, correction
+
+
 def verify_up_to_linear(cpwl, net: ValidatedNetwork) -> tuple[bool, RatVec]:
     """Exact comparison of a function and a network modulo linear terms.
 
@@ -166,12 +192,17 @@ def verify_up_to_linear(cpwl, net: ValidatedNetwork) -> tuple[bool, RatVec]:
     refinement, then asserts the same difference on every other cone.
     """
     f = as_support(cpwl)
-    g_support = support_of_network(net)
-    rf, rn = common_refinement([f, g_support])
-    correction = vsub(rf.slopes[0], rn.slopes[0])
-    equal = all(vsub(a, b) == correction
-                for a, b in zip(rf.slopes, rn.slopes))
-    return equal, correction
+    return _linear_difference(*common_refinement([f, support_of_network(net)]))
+
+
+def verify_synthesis(report: RealizabilityReport,
+                     net: ValidatedNetwork) -> tuple[bool, RatVec]:
+    """`verify_up_to_linear` for the net synthesized from `report`, on the
+    criterion fan the report already holds.  That fan is cut by every
+    first-layer row of the net, so the net is linear on each of its cones
+    and `extract_support` reads its slopes there."""
+    f = report.refined
+    return _linear_difference(f, extract_support(net, f.fan))
 
 
 def analyze(cpwl) -> RealizabilityReport:
@@ -181,9 +212,9 @@ def analyze(cpwl) -> RealizabilityReport:
     if not report.realizable:
         return report
     net = synthesize_shallow(s, report)
-    ok, correction = verify_up_to_linear(s, net)
+    ok, correction = verify_synthesis(report, net)
     if not ok:
         raise RelutoricError(
             "synthesized network disagrees beyond a linear term")
     return RealizabilityReport(True, report.groups, None,
-                               Synthesis(net, correction))
+                               Synthesis(net, correction), report.refined)

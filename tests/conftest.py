@@ -1,4 +1,5 @@
-"""Shared fixtures: golden inputs and independent oracles.
+"""Shared fixtures: golden inputs, hypothesis strategies and independent
+oracles.
 
 The bend oracle below measures how much a function bends across a wall by
 exact second differences of function *values*; it never looks at slope or
@@ -11,8 +12,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from relutoric.exact_math import kernel_normal, pairing_one_solution, vadd, vdot, vneg, vscale
+from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var
 from relutoric.network import network
 
 # Architecture (2, 3, 1; 1) computing max{0, x, y}; the pipeline's golden
@@ -53,6 +56,46 @@ def rand_shallow_net(rng: random.Random, dim: int, max_width: int = 6):
     rows = [[rand_rational(rng) for _ in range(dim)] for _ in range(width)]
     weights = [rand_rational(rng) for _ in range(width)]
     return network([rows, [weights]])
+
+
+weights = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def nets(draw):
+    """Depth 1-3 in dim 2-4 with rational weights; rows are often zero."""
+    dim = draw(st.integers(2, 4))
+    depth = draw(st.integers(1, 3))
+    widths = [dim] + [draw(st.integers(1, 6 - depth)) for _ in range(depth)] + [1]
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        row = st.one_of(st.just([0] * n_in),
+                        st.lists(weights, min_size=n_in, max_size=n_in))
+        layers.append(draw(st.lists(row, min_size=n_out, max_size=n_out)))
+    return network(layers)
+
+
+@st.composite
+def expressions(draw, dim, constants=False):
+    """Nested max, sums and negative scales over x1..x_dim, with rational
+    constant leaves too when asked for."""
+    leaf = st.builds(Var, st.integers(1, dim))
+    if constants:
+        leaf |= st.builds(Const, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)))
+
+    def extend(children):
+        args = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Scale, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+                      children),
+            st.builds(lambda a: Sum(tuple(a)), args),
+            st.builds(lambda a: Max(tuple(a)), args),
+            # a repeated argument ties with itself everywhere
+            st.builds(lambda a: Max((a, a)), children),
+        )
+
+    return draw(st.recursive(leaf, extend, max_leaves=6))
 
 
 def bend_oracle(value_at, fan, wall) -> Fraction:

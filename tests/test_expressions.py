@@ -1,8 +1,13 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from relutoric import expressions
+from relutoric.cli import main
 from relutoric.errors import InhomogeneousConstant, ParseError, UnknownVariable
+from relutoric.exact_math import vadd, vneg, vscale
 from relutoric.expressions import (
     Const,
     Max,
@@ -10,6 +15,7 @@ from relutoric.expressions import (
     Scale,
     Sum,
     Var,
+    affine_forms,
     compile_expression,
     evaluate_expression,
     format_expression,
@@ -19,7 +25,7 @@ from relutoric.expressions import (
 from relutoric.divisor import support_of_network
 from relutoric.network import network
 from relutoric.realizability import common_refinement
-from conftest import SIXPIECE_EXPR, SIXPIECE_SLOPES
+from conftest import SIXPIECE_EXPR, SIXPIECE_SLOPES, expressions as expression_trees
 
 
 class TestParse:
@@ -77,6 +83,77 @@ class TestHomogeneity:
 
     def test_zero_constant_allowed(self):
         parse_expression("max(0, x1, x2)", 2)
+
+    # Messages as the checker reported them before affine_forms computed
+    # each Sum term's forms once: the first nonzero constant in the forms'
+    # iteration order is the one named.
+    MESSAGES = [
+        ("max(x1, max(x2, 1) + 2)", "constant 3 inside max breaks homogeneity"),
+        ("max(x1, x2) + 1", "constant 1 breaks homogeneity"),
+        ("max(x1, 1 - 2 + x2)", "constant -1 inside max breaks homogeneity"),
+    ]
+
+    @pytest.mark.parametrize("text,message", MESSAGES)
+    def test_message(self, text, message):
+        for parse in (parse_expression, parse_and_compile):
+            with pytest.raises(InhomogeneousConstant) as info:
+                parse(text, 2)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", MESSAGES)
+    def test_cli_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"dim": 2, "expr": text}))
+        assert main(["realize", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_constants_cancelling_inside_max(self):
+        parse_and_compile("max(x1, 1 - 1 + x2)", 2)
+
+    def test_checked_once_per_document(self, monkeypatch):
+        calls = []
+        check = expressions._check_homogeneous
+        monkeypatch.setattr(expressions, "_check_homogeneous",
+                            lambda expr, dim: calls.append(expr) or check(expr, dim))
+        parse_and_compile(SIXPIECE_EXPR, 2)
+        assert len(calls) == 1
+
+
+def reference_affine_forms(expr, dim: int) -> set:
+    """affine_forms as first written: a Sum recomputes each term's forms for
+    every form accumulated so far."""
+    zero = tuple(F(0) for _ in range(dim))
+    if isinstance(expr, Var):
+        return {(tuple(F(1) if i == expr.index - 1 else F(0) for i in range(dim)), F(0))}
+    if isinstance(expr, Const):
+        return {(zero, expr.value)}
+    if isinstance(expr, Neg):
+        return {(vneg(s), -c) for s, c in reference_affine_forms(expr.arg, dim)}
+    if isinstance(expr, Scale):
+        return {(vscale(expr.coeff, s), expr.coeff * c)
+                for s, c in reference_affine_forms(expr.arg, dim)}
+    if isinstance(expr, Sum):
+        forms = {(zero, F(0))}
+        for term in expr.terms:
+            forms = {(vadd(s1, s2), c1 + c2)
+                     for s1, c1 in forms
+                     for s2, c2 in reference_affine_forms(term, dim)}
+        return forms
+    out = set()
+    for arg in expr.args:
+        out |= reference_affine_forms(arg, dim)
+    return out
+
+
+class TestAffineFormsAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda d: st.tuples(st.just(d), expression_trees(d, constants=True))))
+    def test_same_forms_in_the_same_order(self, case):
+        # the order matters: the homogeneity message names the first
+        # nonzero constant met
+        dim, expr = case
+        assert list(affine_forms(expr, dim)) == list(reference_affine_forms(expr, dim))
 
 
 class TestRoundTrip:

@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,9 +12,11 @@ from relutoric.errors import Biased, NotEssential
 from relutoric.exact_math import (
     int_det,
     integer_kernel_direction,
+    kernel_normal,
     mat_rank,
     nullspace_covectors,
     rational_to_primitive,
+    sign_canonical,
     solve_exact,
     vdot,
     vneg,
@@ -37,7 +39,7 @@ from relutoric.fan import (
     validate_fan,
     wall_groups,
 )
-from relutoric.jsonio import encode_fan
+from relutoric.jsonio import decode_fan, encode_fan
 from relutoric.network import NeuronId, evaluate, network, neuron_value
 from conftest import bend_oracle, rand_point, rand_rational
 
@@ -403,6 +405,36 @@ class TestLocalChecksAgainstReference:
         fan = _planar_collection(rays, step=2)
         assert validate_fan(fan).degree == 2
         self._assert_agrees(fan)
+
+
+def _assert_wall_normals(fan):
+    """Every wall's normal is primitive, sign-canonical and zero on the
+    wall's generators, so it is the kernel normal of the wall span."""
+    for wall in fan.walls:
+        n = wall.normal
+        assert gcd(*n) == 1
+        assert sign_canonical(n) == n
+        assert all(vdot(n, g) == 0 for g in wall.generators)
+        assert n == kernel_normal(wall.generators, fan.dim)
+
+
+class TestWallNormals:
+    @settings(max_examples=40, deadline=None)
+    @given(small_central_fans())
+    def test_central_fans(self, fan):
+        _assert_wall_normals(fan)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_nets(max_dim=4, max_width=3))
+    def test_relu_fans(self, net):
+        _assert_wall_normals(build_relu_fan(net))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_central_fans())
+    def test_decoded_fans(self, fan):
+        decoded = decode_fan(encode_fan(fan))
+        _assert_wall_normals(decoded)
+        assert [w.normal for w in decoded.walls] == [w.normal for w in fan.walls]
 
 
 class TestConeContaining:

@@ -1,0 +1,97 @@
+"""Static checks on the package source, by an AST scan of src/relutoric.
+
+- No unused import outside `__init__.py`, whose imports are the public API.
+- No float on the exact path: no float literal and no `float(` call.
+- No `itertools.combinations`: subset enumeration is what the exact
+  routines replaced, and the tests keep it only as a reference.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "relutoric").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import statement and never read in the module."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def float_uses(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"float literal {node.value!r} (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"float( call (line {node.lineno})")
+    return found
+
+
+def combination_uses(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "combinations"
+                and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
+            found.append(f"itertools.combinations (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            found += [f"from itertools import combinations (line {node.lineno})"
+                      for alias in node.names if alias.name == "combinations"]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+class TestSource:
+    def test_no_floats(self, path):
+        assert float_uses(_tree(path)) == []
+
+    def test_no_subset_enumeration(self, path):
+        assert combination_uses(_tree(path)) == []
+
+
+class TestScanner:
+    """The scan itself finds what it is meant to find."""
+
+    def test_flags_an_unused_import(self):
+        tree = ast.parse("from __future__ import annotations\n"
+                         "from .exact_math import kernel_normal, vdot\n"
+                         "import itertools\n"
+                         "def f(a: int) -> int:\n    return vdot(a, a)\n")
+        assert unused_imports(tree) == ["itertools (line 3)", "kernel_normal (line 2)"]
+
+    def test_flags_floats(self):
+        tree = ast.parse("x = 0.5\ny = float(3)\nz = 1\n")
+        assert float_uses(tree) == ["float literal 0.5 (line 1)", "float( call (line 2)"]
+
+    def test_flags_combinations(self):
+        tree = ast.parse("import itertools\nfrom itertools import combinations, product\n"
+                         "pairs = itertools.combinations(range(4), 2)\n")
+        assert combination_uses(tree) == ["from itertools import combinations (line 2)",
+                                          "itertools.combinations (line 3)"]
+
+    def test_sources_found(self):
+        assert {p.name for p in SOURCES} >= {"divisor.py", "fan.py", "realizability.py"}

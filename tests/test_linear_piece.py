@@ -18,7 +18,6 @@ from relutoric.expressions import (
     Max,
     Neg,
     Scale,
-    Sum,
     Var,
     _value_and_slope,
     compile_expression,
@@ -33,7 +32,7 @@ from relutoric.network import (
     network,
     reduce_shallow,
 )
-from conftest import rand_point
+from conftest import expressions, nets, rand_point
 
 
 def _assert_matches_evaluation(net, seed):
@@ -45,23 +44,6 @@ def _assert_matches_evaluation(net, seed):
     for _ in range(5):
         x = rand_point(rng, net.input_dim)
         assert support.value(x) == evaluate(net, x)
-
-
-weights = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-
-
-@st.composite
-def nets(draw):
-    """Depth 1-3 in dim 2-4 with rational weights; rows are often zero."""
-    dim = draw(st.integers(2, 4))
-    depth = draw(st.integers(1, 3))
-    widths = [dim] + [draw(st.integers(1, 6 - depth)) for _ in range(depth)] + [1]
-    layers = []
-    for n_in, n_out in zip(widths, widths[1:]):
-        row = st.one_of(st.just([0] * n_in),
-                        st.lists(weights, min_size=n_in, max_size=n_in))
-        layers.append(draw(st.lists(row, min_size=n_out, max_size=n_out)))
-    return network(layers)
 
 
 class TestNetworkSlopes:
@@ -104,26 +86,6 @@ class TestNetworkSlopes:
         cleared = cleared_layers(network([[[1, 0]], [[1]]]))
         assert linear_piece(cleared, (0, 1)) == (0, 0)
         assert linear_piece(cleared, (1, 1)) == (1, 0)
-
-
-@st.composite
-def expressions(draw, dim):
-    """Nested max, sums and negative scales over x1..x_dim."""
-    leaf = st.builds(Var, st.integers(1, dim))
-
-    def extend(children):
-        args = st.lists(children, min_size=2, max_size=3)
-        return st.one_of(
-            st.builds(Neg, children),
-            st.builds(Scale, st.builds(F, st.integers(-3, 3), st.integers(1, 2)),
-                      children),
-            st.builds(lambda a: Sum(tuple(a)), args),
-            st.builds(lambda a: Max(tuple(a)), args),
-            # a repeated argument ties with itself everywhere
-            st.builds(lambda a: Max((a, a)), children),
-        )
-
-    return draw(st.recursive(leaf, extend, max_leaves=6))
 
 
 def _assert_expression_matches(expr, dim):

@@ -2,21 +2,30 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from relutoric.cli import JobSpec, run_job
 from relutoric.errors import CriterionFailed
 from relutoric.divisor import intersection_number, support_of_network
 from relutoric.exact_math import vdot
-from relutoric.expressions import parse_and_compile
-from relutoric.fan import EXTENDED
+from relutoric.expressions import (
+    compile_expression,
+    evaluate_expression,
+    parse_and_compile,
+    parse_expression,
+)
+from relutoric.fan import EXTENDED, Hyperplane
+from relutoric.jsonio import encode_network, encode_vector
 from relutoric.network import evaluate, network
 from relutoric.realizability import (
     analyze,
     criterion_check,
     nonlinear_locus_hyperplanes,
     synthesize_shallow,
+    verify_synthesis,
     verify_up_to_linear,
 )
-from conftest import SIXPIECE_EXPR, rand_shallow_net
+from conftest import SIXPIECE_EXPR, expressions, nets, rand_point, rand_shallow_net, weights
 
 
 @pytest.fixture
@@ -41,6 +50,31 @@ class TestNonlinearLocus:
     def test_kind_is_extended(self, sixpiece):
         assert all(h.kind == EXTENDED
                    for h in nonlinear_locus_hyperplanes(sixpiece))
+
+
+def reference_bend_locus(s):
+    """The bend locus by its definition: span hyperplanes of the walls with a
+    nonzero intersection number."""
+    normals = []
+    for wall in s.fan.walls:
+        if intersection_number(s, wall) != 0 and wall.normal not in normals:
+            normals.append(wall.normal)
+    return tuple(Hyperplane(n, EXTENDED) for n in sorted(normals))
+
+
+class TestBendLocusAgainstIntersectionNumbers:
+    @settings(max_examples=60, deadline=None)
+    @given(nets())
+    def test_nets(self, net):
+        s = support_of_network(net)
+        assert nonlinear_locus_hyperplanes(s) == reference_bend_locus(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), expressions(d))))
+    def test_expressions(self, case):
+        dim, expr = case
+        s = compile_expression(expr, dim)
+        assert nonlinear_locus_hyperplanes(s) == reference_bend_locus(s)
 
 
 class TestCriterion:
@@ -207,3 +241,88 @@ class TestRandomRoundTrip:
             assert ([g.numbers for g in base.groups]
                     == [g.numbers for g in moved.groups])
             assert base.realizable == moved.realizable
+
+
+@st.composite
+def shallow_nets(draw):
+    """Unbiased one-hidden-layer nets, width 1-4 in dim 2-4; rows may be
+    zero or parallel."""
+    dim = draw(st.integers(2, 4))
+    width = draw(st.integers(1, 4))
+    row = st.lists(weights, min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=width, max_size=width))
+    return network([rows, [draw(st.lists(weights, min_size=width, max_size=width))]])
+
+
+def _sum_text(signed_terms) -> str:
+    """An expr of the grammar from (sign, term) pairs, sign 1 or -1."""
+    text = " ".join(f"{'-' if sign < 0 else '+'} {term}" for sign, term in signed_terms)
+    return text.removeprefix("+ ") or "0"
+
+
+def _linear_terms(coeffs):
+    return [(c, f"{abs(c)}*x{i}") for i, c in enumerate(coeffs, 1) if c]
+
+
+@st.composite
+def shallow_expressions(draw):
+    """Sums of c*max(l, l') over linear forms l, l', plus a linear term:
+    each c*max(l, l') is c*l' + c*relu(l - l'), so these are realizable."""
+    dim = draw(st.integers(2, 4))
+    coeffs = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    scale = st.builds(F, st.integers(1, 3), st.integers(1, 2))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        pair = ", ".join(_sum_text(_linear_terms(draw(coeffs))) for _ in range(2))
+        terms.append((draw(st.sampled_from([1, -1])), f"{draw(scale)}*max({pair})"))
+    return dim, _sum_text(terms + _linear_terms(draw(coeffs)))
+
+
+class TestShallowRoundTrip:
+    """analyze and the CLI's realize on functions a shallow net computes:
+    both decide realizable, synthesize the same net and correction, and
+    their criterion-fan verification agrees with verify_up_to_linear."""
+
+    def _round_trip(self, s, f, document, dim, seed):
+        report = analyze(s)
+        assert report.realizable
+        synth = report.synthesis.network
+        g = report.synthesis.correction_slope
+        assert verify_synthesis(report, synth) == verify_up_to_linear(s, synth) == (True, g)
+
+        payload = run_job(JobSpec("realize", document)).payload
+        assert payload["realizable"]
+        assert payload["synthesis"] == {
+            "network": encode_network(synth),
+            "linear_correction": {"slope": encode_vector(g), "constant": 0},
+            "verified": True,
+        }
+
+        rng = random.Random(seed)
+        for _ in range(5):
+            x = rand_point(rng, dim)
+            assert evaluate(synth, x) + vdot(g, x) == f(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shallow_nets(), st.integers(0, 2**16))
+    def test_nets(self, net, seed):
+        self._round_trip(support_of_network(net), lambda x: evaluate(net, x),
+                         {"network": encode_network(net)}, net.input_dim, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shallow_expressions(), st.integers(0, 2**16))
+    def test_expressions(self, case, seed):
+        dim, text = case
+        expr = parse_expression(text, dim)
+        self._round_trip(parse_and_compile(text, dim),
+                         lambda x: evaluate_expression(expr, x),
+                         {"dim": dim, "expr": text}, dim, seed)
+
+    def test_altered_weight_fails_both_verifications(self):
+        net = network([[[1, 0], [1, 1], [0, 1]], [[2, -1, 3]]])
+        s = support_of_network(net)
+        report = analyze(s)
+        rows, (weights_out,) = report.synthesis.network.layers
+        altered = network([rows, [(weights_out[0] + 1,) + weights_out[1:]]])
+        assert verify_synthesis(report, altered)[0] is False
+        assert verify_up_to_linear(s, altered)[0] is False
