@@ -29,6 +29,7 @@ from .divisor import (
 )
 from .fan import build_relu_fan, validate_fan, wall_groups
 from .jsonio import (
+    decode_bool,
     decode_function,
     decode_int,
     decode_network,
@@ -43,10 +44,6 @@ from .jsonio import (
 from .network import NeuronId, affine_shift, evaluate, neuron_value, reduce_shallow
 from .realizability import criterion_check, synthesize_shallow, verify_synthesis
 from .svg import render_fan_svg
-
-COMMANDS = ("eval", "fan", "divisor", "intersect", "classify", "polytope",
-            "newton", "volume", "reduce", "shift", "realize", "render")
-
 
 @dataclass
 class JobSpec:
@@ -195,7 +192,7 @@ def _cmd_classify(job: JobSpec) -> JobResult:
 def _cmd_polytope(job: JobSpec) -> JobResult:
     _, support = _support_of(job.document)
     D = divisor_coefficients(support)
-    if job.negate or job.document.get("negate"):
+    if decode_bool(job.document.get("negate", False), "negate") or job.negate:
         D = scale_divisor(D, -1)
     return JobResult(encode_polytope(polytope_of_divisor(D)))
 
@@ -280,9 +277,7 @@ def _cmd_realize(job: JobSpec) -> JobResult:
 
 
 def _cmd_render(job: JobSpec) -> JobResult:
-    net, support = _load_inputs(job.document)
-    if support is None:
-        support = support_of_network(net)
+    _, support = _support_of(job.document)
     svg = render_fan_svg(support.fan, support)
     return JobResult(None, svg)
 
@@ -301,6 +296,8 @@ _HANDLERS = {
     "realize": _cmd_realize,
     "render": _cmd_render,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_job(job: JobSpec) -> JobResult:
@@ -389,8 +386,9 @@ def _run_batch(directory: str, fmt: str) -> int:
                 document=doc.get("input", {}),
                 fmt=fmt,
                 m_max=decode_int(flags.get("m_max", 8), "m_max"),
-                negate=bool(flags.get("negate", False)),
-                expect_realizable=bool(flags.get("expect_realizable", False)),
+                negate=decode_bool(flags.get("negate", False), "negate"),
+                expect_realizable=decode_bool(flags.get("expect_realizable", False),
+                                              "expect_realizable"),
                 svg=str(path.with_suffix(".svg")) if doc.get("command") == "render" else None,
             )
             result = run_job(job)

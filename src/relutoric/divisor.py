@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import (
     ContinuityViolation,
@@ -29,9 +29,11 @@ from .exact_math import (
     RationalPolytope,
     RatVec,
     clear_denominators,
+    common_integer_scale,
     convex_hull,
     double_description,
     frac,
+    independent_rows,
     lattice_point_count,
     mat_rank,
     mixed_volume,
@@ -61,11 +63,7 @@ class SupportFunction:
 
     def clearing_multiple(self) -> int:
         """Minimal positive integer l with all slopes of l*s integral."""
-        mult = 1
-        for m in self.slopes:
-            for c in m:
-                mult = lcm(mult, c.denominator)
-        return mult
+        return common_integer_scale(self.slopes)[1]
 
 
 @dataclass(frozen=True)
@@ -113,9 +111,7 @@ def support_on_fan(fan: Fan, slopes) -> SupportFunction:
 def _check_continuity(s: SupportFunction) -> None:
     """Every wall generator pairs equally with the slopes on both sides;
     tested on the slopes cleared once by their common denominator."""
-    mult = s.clearing_multiple()
-    slopes = [tuple(c.numerator * (mult // c.denominator) for c in m)
-              for m in s.slopes]
+    slopes, _ = common_integer_scale(s.slopes)
     for wall in s.fan.walls:
         i, j = wall.cones
         for w in wall.generators:
@@ -135,16 +131,9 @@ def slopes_by_evaluation(fan: Fan, func) -> SupportFunction:
     slopes = []
     for cone in fan.maximal_cones:
         center = cone.interior_point()
-        points = []
-        for scale in (1, 2, 3):
-            for r in cone.rays:
-                cand = vadd(vscale(scale, center), r)
-                if mat_rank(points + [cand]) > len(points):
-                    points.append(cand)
-                if len(points) == fan.dim:
-                    break
-            if len(points) == fan.dim:
-                break
+        candidates = [vadd(vscale(scale, center), r)
+                      for scale in (1, 2, 3) for r in cone.rays]
+        points = [candidates[i] for i in independent_rows(candidates)]
         if len(points) < fan.dim:
             raise SingularSample(
                 f"could not find {fan.dim} independent interior points")

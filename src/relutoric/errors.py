@@ -79,16 +79,8 @@ class NotLatticePolytope(RelutoricError):
 
 
 # realizability
-class NotHomogeneous(RelutoricError):
-    """Input function is not positively homogeneous."""
-
-
 class CriterionFailed(RelutoricError):
     """Synthesis requested although the wall-number criterion fails."""
-
-
-class FanMismatch(RelutoricError):
-    """Two supports could not be compared on a common refinement."""
 
 
 # expression parsing

@@ -11,8 +11,9 @@ columns, linear solves and kernels share one fraction-free elimination
 (:func:`_echelon`): each row is cleared of denominators once, eliminated
 with integer row operations and kept small by dividing out its gcd; only
 the back substitution over the at most n pivot rows uses Fractions.
-Determinants use Bareiss elimination, and hyperplane normals come from
-signed maximal minors.
+:func:`independent_rows` picks a basis among given rows, in their order,
+with the same integer row operations.  Determinants use Bareiss
+elimination, and hyperplane normals come from signed maximal minors.
 
 Every conversion between generators and inequalities — polytope hulls,
 section polytopes, the facets of a cone — is one integer double
@@ -251,26 +252,37 @@ def kernel_normal(generators, dim: int | None = None) -> IntVec:
     if not gens:
         raise RankDeficient("no generators given")
     n = dim if dim is not None else len(gens[0])
-    independent = _independent_subset(gens, n - 1)
-    if independent is None:
+    chosen = independent_rows(gens)
+    if len(chosen) != n - 1:
         raise RankDeficient(
-            f"generators span dimension {mat_rank(gens)}, expected {n - 1}"
+            f"generators span dimension {len(chosen)}, expected {n - 1}"
         )
-    return sign_canonical(integer_kernel_direction(independent))
+    return sign_canonical(integer_kernel_direction([gens[i] for i in chosen]))
 
 
-def _independent_subset(vectors, size: int):
-    """Greedy selection of `size` linearly independent vectors, or None."""
-    chosen = []
-    for v in vectors:
-        if mat_rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            if len(chosen) == size:
+def independent_rows(rows) -> list[int]:
+    """Indices of the rows that are independent of the rows before them, in
+    the order given: the greedy basis of their span.
+
+    Each row is cleared of denominators and reduced in integers against the
+    rows already chosen, each of which owns the column of its first nonzero
+    entry; the row is chosen when something remains.  The scan stops once
+    the chosen rows span the whole space.
+    """
+    chosen: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []
+    for i, row in enumerate(rows):
+        v = list(clear_denominators(row)[0])
+        for col, b in reduced:
+            if v[col]:
+                v = [b[col] * x - v[col] * y for x, y in zip(v, b)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is not None:
+            chosen.append(i)
+            g = gcd(*v)
+            reduced.append((col, [x // g for x in v]))
+            if len(chosen) == len(v):
                 break
-    if len(chosen) != size:
-        return None
-    if mat_rank(vectors) != size:
-        return None
     return chosen
 
 
@@ -363,12 +375,7 @@ def double_description(rows, dim: int) -> tuple[list[IntVec], list[frozenset], s
     earlier facet survives a cut exactly when one of its rays lies strictly
     on the kept side.
     """
-    basis: list[int] = []
-    for i, row in enumerate(rows):
-        if mat_rank([rows[j] for j in basis] + [row]) > len(basis):
-            basis.append(i)
-            if len(basis) == dim:
-                break
+    basis = independent_rows(rows)
     if len(basis) < dim:
         raise RankDeficient(f"rows span rank {len(basis)} < {dim}; the cone has lineality")
     rays: list[IntVec] = []
@@ -410,7 +417,7 @@ class RationalPolytope:
     every listed vertex is extreme, and the order is canonical (sorted).
     ``facets`` are the sorted inequalities ``(normal, offset)``, n . y <= c
     with primitive integer outward normals, on the pivot coordinates of the
-    affine hull (see :func:`halfspace_representation`); ``incidence`` holds,
+    affine hull (see :func:`convex_hull`); ``incidence`` holds,
     per facet, the indices of the vertices on it.  Both come from the
     conversion that made the polytope.  A polytope built from vertices alone
     leaves them None and gets them from :func:`convex_hull` when needed.
@@ -453,7 +460,7 @@ def convex_hull(points) -> RationalPolytope:
     cols = pivot_columns([vsub(p, base) for p in pts[1:]])
     if not cols:
         return RationalPolytope(len(base), (base,), (), ())
-    scaled, mult = _common_integer_scale([tuple(p[c] for c in cols) for p in pts])
+    scaled, mult = common_integer_scale([tuple(p[c] for c in cols) for p in pts])
     rows = [p + (1,) for p in scaled]
     rays, zero_sets, kept = double_description(rows, len(cols) + 1)
     order = sorted(kept)
@@ -466,37 +473,16 @@ def convex_hull(points) -> RationalPolytope:
                             tuple(incident for _, _, incident in facets))
 
 
-def _common_integer_scale(points) -> tuple[list[IntVec], int]:
-    """Rational points scaled to integers by the lcm of all their
-    denominators, and that lcm."""
-    scaled = [clear_denominators(p) for p in points]
-    mult = lcm(*[m for _, m in scaled])
-    return [tuple(x * (mult // m) for x in v) for v, m in scaled], mult
+def common_integer_scale(points) -> tuple[list[IntVec], int]:
+    """Points with int or Fraction coordinates scaled to integers by the
+    lcm of all their denominators, and that lcm."""
+    mult = lcm(*[x.denominator for p in points for x in p])
+    return [tuple(x.numerator * (mult // x.denominator) for x in p) for p in points], mult
 
 
 def _described(P: RationalPolytope) -> RationalPolytope:
     """P itself when it carries its facets, else the hull of its vertices."""
     return P if P.facets is not None else convex_hull(P.vertices)
-
-
-def halfspace_representation(P: RationalPolytope):
-    """Exact H-representation of a polytope, split by its affine hull.
-
-    Returns ``(equalities, cols, facets)`` where `equalities` is a list of
-    ``(covector, offset)`` pairs cutting out the affine hull, `cols` are the
-    pivot coordinates identifying the hull with R^adim, and `facets` are
-    ``(normal, offset)`` inequalities (n . y <= c) on the projected polytope,
-    as the polytope stores them.
-    """
-    if P.is_empty():
-        return [], [], []
-    base = P.vertices[0]
-    dirs = [vsub(v, base) for v in P.vertices[1:]]
-    equalities = []
-    for cov in nullspace_covectors(dirs, P.dimension):
-        normal = rational_to_primitive(cov)
-        equalities.append((normal, frac(vdot(normal, base))))
-    return equalities, pivot_columns(dirs), list(_described(P).facets)
 
 
 def lattice_point_count(P: RationalPolytope, m: int) -> int:
@@ -514,9 +500,9 @@ def lattice_point_count(P: RationalPolytope, m: int) -> int:
     if len(P.vertices) == 1:
         point = vscale(m, P.vertices[0])
         return 1 if all(x.denominator == 1 for x in point) else 0
-    equalities, cols, facets = halfspace_representation(P)
     base = P.vertices[0]
     dirs = [vsub(v, base) for v in P.vertices[1:]]
+    cols = pivot_columns(dirs)
     # Affine lift: x = lift_const + lift_lin . y where y are pivot coords.
     lift = _affine_lift(base, dirs, cols, ambient)
     ranges = []
@@ -529,7 +515,7 @@ def lattice_point_count(P: RationalPolytope, m: int) -> int:
             return 0
         ranges.append(range(lo_int, hi_int + 1))
     # n . y is an integer, so n . y <= m c iff n . y <= floor(m c).
-    limits = [(n, m * c // 1) for n, c in facets]
+    limits = [(n, m * c // 1) for n, c in _described(P).facets]
     count = 0
     for y in itertools.product(*ranges):
         if any(vdot(n, y) > limit for n, limit in limits):
@@ -545,7 +531,7 @@ def _affine_lift(base, dirs, cols, ambient):
     pivot coordinates on the affine hull; None when the hull is full."""
     if len(cols) == ambient:
         return None
-    basis = _independent_subset(dirs, len(cols))
+    basis = [dirs[i] for i in independent_rows(dirs)]
     tmat = [[basis[j][c] for j in range(len(cols))] for c in cols]
     rows = []
     consts = []
@@ -585,7 +571,7 @@ def euclidean_volume(P: RationalPolytope) -> Fraction:
         return Fraction(0)
     P = _described(P)
     n = P.dimension
-    pts, mult = _common_integer_scale(P.vertices)
+    pts, mult = common_integer_scale(P.vertices)
     total = 0
     for simplex in _dissect(frozenset(range(len(pts))), P.incidence, n):
         v0 = pts[simplex[0]]

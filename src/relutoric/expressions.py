@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousConstant, ParseError, UnknownVariable
-from .exact_math import ratvec, sign_canonical, rational_to_primitive, vadd, vneg, vscale
+from .exact_math import is_zero_vector, ratvec, vadd, vneg, vscale, vsub
 from .divisor import SupportFunction, support_on_fan
-from .fan import EXTENDED, Hyperplane, augmented_central_fan, merge_hyperplanes
+from .fan import EXTENDED, Hyperplane, augmented_central_fan, hyperplane, merge_hyperplanes
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ def _walk(expr: Expr):
 def candidate_hyperplanes(expr: Expr, dim: int) -> tuple[Hyperplane, ...]:
     """Pairwise differences of the possible linear forms of max arguments;
     every locus where the compiled function can bend lies on one of these."""
-    normals = []
+    planes = []
     for node in _walk(expr):
         if not isinstance(node, Max):
             continue
@@ -316,12 +316,10 @@ def candidate_hyperplanes(expr: Expr, dim: int) -> tuple[Hyperplane, ...]:
             for j in range(i + 1, len(form_sets)):
                 for si, _ in form_sets[i]:
                     for sj, _ in form_sets[j]:
-                        diff = tuple(a - b for a, b in zip(si, sj))
-                        if any(x != 0 for x in diff):
-                            normal = sign_canonical(rational_to_primitive(diff))
-                            if normal not in normals:
-                                normals.append(normal)
-    return tuple(Hyperplane(n, EXTENDED) for n in normals)
+                        diff = vsub(si, sj)
+                        if not is_zero_vector(diff):
+                            planes.append(hyperplane(diff, EXTENDED))
+    return merge_hyperplanes(planes)
 
 
 def compile_expression(expr: Expr, dim: int) -> SupportFunction:
@@ -336,8 +334,7 @@ def compile_expression(expr: Expr, dim: int) -> SupportFunction:
     and have equal slopes there.
     """
     _check_homogeneous(expr, dim)
-    planes = merge_hyperplanes(candidate_hyperplanes(expr, dim))
-    fan = augmented_central_fan(planes, dim)
+    fan = augmented_central_fan(candidate_hyperplanes(expr, dim), dim)
     return support_on_fan(fan, [_value_and_slope(expr, cone.interior_point(), dim)[1]
                                 for cone in fan.maximal_cones])
 

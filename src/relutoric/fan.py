@@ -26,6 +26,7 @@ from .exact_math import (
     clear_denominators,
     crossing_rays,
     double_description,
+    independent_rows,
     integer_kernel_direction,
     is_zero_vector,
     mat_rank,
@@ -344,13 +345,10 @@ def central_fan(hyperplanes, dim: int) -> Fan:
     merged = merge_hyperplanes(hyperplanes)
     if not merged:
         raise NotEssential("no hyperplanes given")
-    basis: list[IntVec] = []
-    rest: list[IntVec] = []
-    for h in merged:
-        if len(basis) < dim and mat_rank(basis + [h.normal]) > len(basis):
-            basis.append(h.normal)
-        else:
-            rest.append(h.normal)
+    normals = [h.normal for h in merged]
+    chosen = independent_rows(normals)
+    basis = [normals[i] for i in chosen]
+    rest = [n for i, n in enumerate(normals) if i not in chosen]
     if len(basis) < dim:
         raise NotEssential(
             f"normals span rank {len(basis)} < {dim}; lineality remains")

@@ -44,6 +44,13 @@ def decode_int(value, what: str) -> int:
     return value
 
 
+def decode_bool(value, what: str) -> bool:
+    """A JSON boolean; integers, strings and null are rejected."""
+    if not isinstance(value, bool):
+        raise DocumentError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _decode_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise DocumentError(f"{what} must be a list, got {value!r}")

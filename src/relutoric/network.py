@@ -11,10 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import BadNeuronId, Biased, DimensionMismatch, NotShallow, ShapeMismatch
-from .exact_math import IntVec, RatVec, frac, ratvec, vdot
+from .exact_math import (
+    IntVec,
+    RatVec,
+    clear_denominators,
+    common_integer_scale,
+    frac,
+    is_zero_vector,
+    normalize_primitive,
+    rational_to_primitive,
+    ratvec,
+    vdot,
+)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -146,9 +156,8 @@ def cleared_layers(net: ValidatedNetwork) -> tuple[tuple[tuple[IntVec, ...], ...
     layers = []
     scale = 1
     for layer in net.layers:
-        mult = lcm(1, *(x.denominator for row in layer for x in row))
-        layers.append(tuple(tuple(x.numerator * (mult // x.denominator) for x in row)
-                            for row in layer))
+        rows, mult = common_integer_scale(layer)
+        layers.append(tuple(rows))
         scale *= mult
     return tuple(layers), scale
 
@@ -201,95 +210,39 @@ def neuron_value(net: ValidatedNetwork, neuron: NeuronId, x) -> Fraction:
 def reduce_shallow(net: ValidatedNetwork) -> ValidatedNetwork:
     """Normal form of a shallow unbiased network.
 
-    Deletes zero rows, merges positively parallel row pairs into the
-    lower-indexed row, then clears denominators so that every remaining row
-    is integral with coordinate gcd 1.  The computed function is unchanged.
+    Deletes zero rows and writes every other row as lam * prim, prim its
+    primitive integer row and lam > 0.  Rows with the same prim (positively
+    parallel rows) become one neuron at the place of the first of them,
+    whose output weight is the sum of their weights times their lam.  The
+    computed function is unchanged.
     """
     if net.hidden_layers != 1:
         raise NotShallow(f"architecture {net.architecture} has depth != 2")
     if not net.is_unbiased:
         raise Biased("reduction is defined for unbiased networks")
-    rows = [list(r) for r in net.layers[0]]
-    weights = list(net.layers[1][0])
-
-    keep = [i for i, row in enumerate(rows) if any(x != 0 for x in row)]
-    rows = [rows[i] for i in keep]
-    weights = [weights[i] for i in keep]
-
-    removed = set()
-    for i in range(len(rows)):
-        if i in removed:
+    merged: dict[IntVec, Fraction] = {}
+    for row, weight in zip(net.layers[0], net.layers[1][0]):
+        if is_zero_vector(row):
             continue
-        for j in range(i + 1, len(rows)):
-            if j in removed:
-                continue
-            k = _positive_parallel_factor(rows[j], rows[i])
-            if k is not None:
-                weights[i] += k * weights[j]
-                removed.add(j)
-    rows = [r for i, r in enumerate(rows) if i not in removed]
-    weights = [w for i, w in enumerate(weights) if i not in removed]
-
-    if not rows:
+        ints, mult = clear_denominators(row)
+        prim, g = normalize_primitive(ints)
+        merged[prim] = merged.get(prim, 0) + weight * Fraction(g, mult)
+    if not merged:
         # Every neuron was a zero row: the function is identically zero.
         empty = NetworkSpec((net.input_dim, 0, 1), ((), ((),)))
         return validate(empty)
-
-    denominator_lcm = 1
-    for row in rows:
-        for x in row:
-            denominator_lcm = lcm(denominator_lcm, x.denominator)
-    new_rows = []
-    new_weights = []
-    for row, w in zip(rows, weights):
-        scaled = [x * denominator_lcm for x in row]
-        row_gcd = 0
-        for x in scaled:
-            row_gcd = gcd(row_gcd, abs(int(x)))
-        factor = Fraction(denominator_lcm, row_gcd)
-        new_rows.append(tuple(x * factor for x in row))
-        new_weights.append(w / factor)
-    return network([new_rows, [new_weights]])
-
-
-def _positive_parallel_factor(row_a, row_b) -> Fraction | None:
-    """Returns k > 0 with row_a = k * row_b, or None."""
-    k = None
-    for a, b in zip(row_a, row_b):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        ratio = a / b
-        if k is None:
-            k = ratio
-        elif ratio != k:
-            return None
-    if k is None or k <= 0:
-        return None
-    return k
+    return network([list(merged), [list(merged.values())]])
 
 
 def is_reduced(net: ValidatedNetwork) -> bool:
-    """Structural check of the four normal-form conditions."""
+    """Structural check of the normal form: shallow and unbiased, every row
+    nonzero and equal to its primitive integer row, no two rows equal."""
     if net.hidden_layers != 1 or not net.is_unbiased:
         return False
     rows = net.layers[0]
-    for row in rows:
-        if all(x == 0 for x in row):
-            return False
-        if any(x.denominator != 1 for x in row):
-            return False
-        g = 0
-        for x in row:
-            g = gcd(g, abs(int(x)))
-        if g != 1:
-            return False
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if _positive_parallel_factor(rows[j], rows[i]) is not None:
-                return False
-    return True
+    return (all(not is_zero_vector(row) and row == rational_to_primitive(row)
+                for row in rows)
+            and len(set(rows)) == len(rows))
 
 
 def affine_shift(net: ValidatedNetwork, slope, constant=0) -> ValidatedNetwork:

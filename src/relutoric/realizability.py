@@ -27,6 +27,7 @@ from .fan import (
     Hyperplane,
     augmented_central_fan,
     cone_containing,
+    wall_groups,
 )
 from .divisor import (
     SupportFunction,
@@ -120,14 +121,12 @@ def criterion_check(cpwl) -> RealizabilityReport:
     walls carry zero bend and are excluded from the groups."""
     s = as_support(cpwl)
     fan, refined = criterion_fan(s)
-    extended_normals = {h.normal for h in fan.hyperplanes if h.kind == EXTENDED}
-    grouped: dict[IntVec, list[int]] = {n: [] for n in sorted(extended_normals)}
-    for i, wall in enumerate(fan.walls):
-        if wall.normal in grouped:
-            grouped[wall.normal].append(i)
+    extended = {h.normal for h in fan.hyperplanes if h.kind == EXTENDED}
     groups = []
     witness = None
-    for normal, indices in sorted(grouped.items()):
+    for normal, indices in wall_groups(fan):
+        if normal not in extended:
+            continue
         walls = tuple(fan.walls[i].generators for i in indices)
         numbers = tuple(intersection_number(refined, fan.walls[i]) for i in indices)
         group = HyperplaneGroup(normal, walls, numbers)
@@ -166,14 +165,9 @@ def synthesize_shallow(cpwl, report: RealizabilityReport | None = None) -> Valid
 def common_refinement(supports) -> list[SupportFunction]:
     """Transfer several supports onto the central fan of the union of all
     their wall hyperplanes (augmented if necessary)."""
-    normals = []
-    dim = supports[0].fan.dim
-    for s in supports:
-        for wall in s.fan.walls:
-            if wall.normal not in normals:
-                normals.append(wall.normal)
     fan = augmented_central_fan(
-        tuple(Hyperplane(n, EXTENDED) for n in normals), dim)
+        [Hyperplane(wall.normal, EXTENDED) for s in supports for wall in s.fan.walls],
+        supports[0].fan.dim)
     return [transfer_support(s, fan) for s in supports]
 
 

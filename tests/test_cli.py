@@ -437,3 +437,23 @@ class TestInputBoundary:
         good = json.loads((jobs / "c-good.out.json").read_text())
         assert good["ray_coefficients"] == [-1, -1, 0, 0, 0]
         assert not (jobs / "a-architecture.out.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [("polytope", "negate"),
+                                               ("realize", "expect_realizable")])
+    def test_batch_flag_must_be_boolean(self, capsys, tmp_path, command, flag):
+        # "false" is a truthy string: it used to negate the polytope (or
+        # arm the realizability gate) and exit 0
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "job.json").write_text(json.dumps(
+            {"command": command, "input": GOLDEN_DOC, "flags": {flag: "false"}}))
+        code = main(["--batch", str(jobs)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines == [f"job.json: {flag} must be true or false, got 'false'"]
+        assert not (jobs / "job.out.json").exists()
+
+    def test_negate_key_must_be_boolean(self, capsys, tmp_path):
+        code, err = run_error(capsys, tmp_path, "polytope", dict(GOLDEN_DOC, negate="false"))
+        assert code == 2
+        assert err.startswith("error: negate must be true or false, got 'false'")

@@ -1,14 +1,18 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relutoric.errors import RankDeficient, ZeroVector
 from relutoric.exact_math import (
     RationalPolytope,
     convex_hull,
     euclidean_volume,
+    independent_rows,
     kernel_normal,
     lattice_point_count,
+    mat_rank,
     mixed_volume,
     normalize_primitive,
     pairing_one_solution,
@@ -78,6 +82,47 @@ class TestKernelNormal:
     def test_redundant_generators_accepted(self):
         # More generators than needed, spanning the same hyperplane.
         assert kernel_normal([(1, 1, 0), (0, 0, 1), (1, 1, 1)]) == (1, -1, 0)
+
+
+def reference_independent_rows(rows):
+    """The greedy loop: keep a row when it raises the rank of those kept."""
+    chosen = []
+    for i, row in enumerate(rows):
+        if mat_rank([rows[j] for j in chosen] + [row]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+@st.composite
+def row_lists(draw):
+    """Rows in dim 1-4: fresh rational rows, zero rows, and combinations
+    a + c * b of earlier rows (repeats when c = 0)."""
+    dim = draw(st.integers(1, 4))
+    entry = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "combination"]))
+        if kind == "combination" and rows:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(entry)
+            rows.append(tuple(x + c * y for x, y in zip(a, b)))
+        elif kind == "zero":
+            rows.append((F(0),) * dim)
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=dim, max_size=dim))))
+    return rows
+
+
+class TestIndependentRows:
+    def test_first_independent_rows_in_order(self):
+        assert independent_rows([(0, 0), (1, 2), (2, 4), (0, 1), (1, 0)]) == [1, 3]
+
+    def test_no_rows(self):
+        assert independent_rows([]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_lists())
+    def test_matches_greedy_rank_loop(self, rows):
+        assert independent_rows(rows) == reference_independent_rows(rows)
 
 
 class TestPairingOne:

@@ -4,6 +4,9 @@
 - No float on the exact path: no float literal and no `float(` call.
 - No `itertools.combinations`: subset enumeration is what the exact
   routines replaced, and the tests keep it only as a reference.
+- No `gcd` or `lcm` outside `exact_math.py`: primitive rows and common
+  denominators come from its helpers, so every module puts a rational row
+  in lowest integer terms the same way.
 """
 
 from __future__ import annotations
@@ -58,10 +61,30 @@ def combination_uses(tree: ast.Module) -> list[str]:
     return found
 
 
+def integer_normal_form_uses(tree: ast.Module) -> list[str]:
+    """Imports of math.gcd or math.lcm, and attribute uses math.gcd/lcm."""
+    names = ("gcd", "lcm")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"from math import {alias.name} (line {node.lineno})"
+                      for alias in node.names if alias.name in names]
+        elif (isinstance(node, ast.Attribute) and node.attr in names
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append(f"math.{node.attr} (line {node.lineno})")
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact_math.py"],
+                         ids=lambda p: p.name)
+def test_integer_normal_forms_only_in_exact_math(path):
+    assert integer_normal_form_uses(_tree(path)) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -92,6 +115,12 @@ class TestScanner:
                          "pairs = itertools.combinations(range(4), 2)\n")
         assert combination_uses(tree) == ["from itertools import combinations (line 2)",
                                           "itertools.combinations (line 3)"]
+
+    def test_flags_gcd_and_lcm(self):
+        tree = ast.parse("import math\nfrom math import factorial, gcd\n"
+                         "m = math.lcm(2, 3)\n")
+        assert integer_normal_form_uses(tree) == ["from math import gcd (line 2)",
+                                                  "math.lcm (line 3)"]
 
     def test_sources_found(self):
         assert {p.name for p in SOURCES} >= {"divisor.py", "fan.py", "realizability.py"}

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relutoric.errors import BadNeuronId, Biased, DimensionMismatch, NotShallow, ShapeMismatch
 from relutoric.network import (
@@ -15,7 +18,9 @@ from relutoric.network import (
     reduce_shallow,
     validate,
 )
+from relutoric.jsonio import encode_network
 from conftest import GOLDEN_LAYERS, rand_point, rand_rational
+from conftest import weights as small_rationals
 
 
 class TestValidate:
@@ -150,6 +155,118 @@ class TestReduceShallow:
             for x in grid:
                 for y in grid:
                     assert evaluate(net, (x, y)) == evaluate(red, (x, y))
+
+
+def reference_positive_parallel_factor(row_a, row_b):
+    """Returns k > 0 with row_a = k * row_b, or None."""
+    k = None
+    for a, b in zip(row_a, row_b):
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        ratio = a / b
+        if k is None:
+            k = ratio
+        elif ratio != k:
+            return None
+    if k is None or k <= 0:
+        return None
+    return k
+
+
+def reference_reduce_shallow(net):
+    """The pairwise reduction: merge each row into the first earlier row it
+    is a positive multiple of, then scale every row by lcm / gcd."""
+    rows = [list(r) for r in net.layers[0] if any(x != 0 for x in r)]
+    weights = [w for r, w in zip(net.layers[0], net.layers[1][0]) if any(x != 0 for x in r)]
+    removed = set()
+    for i in range(len(rows)):
+        if i in removed:
+            continue
+        for j in range(i + 1, len(rows)):
+            if j in removed:
+                continue
+            k = reference_positive_parallel_factor(rows[j], rows[i])
+            if k is not None:
+                weights[i] += k * weights[j]
+                removed.add(j)
+    rows = [r for i, r in enumerate(rows) if i not in removed]
+    weights = [w for i, w in enumerate(weights) if i not in removed]
+    if not rows:
+        return validate(NetworkSpec((net.input_dim, 0, 1), ((), ((),))))
+    denominator_lcm = 1
+    for row in rows:
+        for x in row:
+            denominator_lcm = lcm(denominator_lcm, x.denominator)
+    new_rows = []
+    new_weights = []
+    for row, w in zip(rows, weights):
+        row_gcd = 0
+        for x in row:
+            row_gcd = gcd(row_gcd, abs(int(x * denominator_lcm)))
+        factor = F(denominator_lcm, row_gcd)
+        new_rows.append(tuple(x * factor for x in row))
+        new_weights.append(w / factor)
+    return network([new_rows, [new_weights]])
+
+
+def reference_is_reduced(net):
+    if net.hidden_layers != 1 or not net.is_unbiased:
+        return False
+    rows = net.layers[0]
+    for row in rows:
+        if all(x == 0 for x in row) or any(x.denominator != 1 for x in row):
+            return False
+        g = 0
+        for x in row:
+            g = gcd(g, abs(int(x)))
+        if g != 1:
+            return False
+    return not any(reference_positive_parallel_factor(rows[j], rows[i]) is not None
+                   for i in range(len(rows)) for j in range(i + 1, len(rows)))
+
+
+@st.composite
+def parallel_shallow_nets(draw):
+    """Shallow nets in dim 1-4 whose rows are zero, fresh, or a positive or
+    negative rational multiple of one of a few base rows; the entries are
+    small integers or rationals."""
+    dim = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([st.integers(-2, 2), small_rationals]))
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    bases = draw(st.lists(vector, min_size=1, max_size=3))
+    multiple = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["zero", "fresh", "parallel"]))
+        if kind == "zero":
+            rows.append([0] * dim)
+        elif kind == "fresh":
+            rows.append(draw(vector))
+        else:
+            k = draw(multiple)
+            rows.append([k * x for x in draw(st.sampled_from(bases))])
+    out = draw(st.lists(small_rationals, min_size=len(rows), max_size=len(rows)))
+    return network([rows, [out]])
+
+
+class TestReduceAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(parallel_shallow_nets())
+    def test_same_normal_form(self, net):
+        reduced = reduce_shallow(net)
+        assert encode_network(reduced) == encode_network(reference_reduce_shallow(net))
+        assert is_reduced(net) == reference_is_reduced(net)
+        assert is_reduced(reduced) == reference_is_reduced(reduced)
+
+    def test_negatively_parallel_rows_stay_apart(self):
+        net = network([[[1, 2], [-2, -4], [F(1, 2), 1]], [[1, 1, 2]]])
+        reduced = reduce_shallow(net)
+        assert reduced.layers[0] == ((1, 2), (-1, -2))
+        assert reduced.layers[1] == ((2, 2),)
+        assert is_reduced(reduced)
+        assert not is_reduced(network([[[1, 2], [1, 2]], [[1, 1]]]))
 
 
 class TestAffineShift:
