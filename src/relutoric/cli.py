@@ -3,7 +3,8 @@
 One JSON document per job, rationals as integers or "p/q" strings, reports
 with stable key order.  Results go to stdout or --output; diagnostics to
 stderr.  Exit codes: 0 success, 2 validation or parse error, 3 criterion
-failure under `realize --expect-realizable`.
+failure under `realize --expect-realizable`.  A batch exits 2 when any
+document failed, else 3 when any job exited 3.
 """
 
 from __future__ import annotations
@@ -301,6 +302,8 @@ COMMANDS = tuple(_HANDLERS)
 
 
 def run_job(job: JobSpec) -> JobResult:
+    if not isinstance(job.command, str):
+        raise DocumentError(f"command must be a string, got {job.command!r}")
     handler = _HANDLERS.get(job.command)
     if handler is None:
         raise DocumentError(f"unknown command {job.command!r}")
@@ -375,6 +378,7 @@ def _run_batch(directory: str, fmt: str) -> int:
         return 2
 
     failures = 0
+    criterion_failed = False
     for path in files:
         try:
             doc = json.loads(path.read_text())
@@ -392,6 +396,7 @@ def _run_batch(directory: str, fmt: str) -> int:
                 svg=str(path.with_suffix(".svg")) if doc.get("command") == "render" else None,
             )
             result = run_job(job)
+            criterion_failed |= result.exit_code == 3
             if result.svg is not None:
                 path.with_suffix(".svg").write_text(result.svg)
             if result.payload is not None:
@@ -400,7 +405,7 @@ def _run_batch(directory: str, fmt: str) -> int:
         except (RelutoricError, json.JSONDecodeError, OSError) as exc:
             failures += 1
             print(f"{path.name}: {exc}", file=sys.stderr)
-    return 2 if failures else 0
+    return 2 if failures else 3 if criterion_failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

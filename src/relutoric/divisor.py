@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import (
     ContinuityViolation,
@@ -344,23 +344,47 @@ def newton_polytope(s: SupportFunction) -> RationalPolytope:
 
 
 def ehrhart_volume_estimate(P: RationalPolytope, m_max: int) -> tuple[Fraction, ...]:
-    """Normalized lattice-point counts n! count(m) / m^n for m = 1..m_max.
+    """Normalized lattice-point counts n! L(m) / m^n for m = 1..m_max, n the
+    ambient dimension and L(m) the number of integer points in m * P.
 
-    count(m) is the Ehrhart polynomial c_n m^n + c_{n-1} m^{n-1} + ... + 1,
-    so the error against the limit n! c_n is O(1/m) with leading term
-    n! c_{n-1} / m. For a lattice polygon with b boundary lattice points
-    Pick's theorem makes it exactly b/m + 2/m^2. The limit is the mixed
-    volume (n! vol) only for full-dimensional polytopes; for a lower
-    dimensional one c_n = 0 and the sequence tends to 0 (a point gives
-    n!/m^n)."""
+    P must be a lattice polytope.  Then L is a polynomial of degree
+    k = dim P with L(0) = 1 (Ehrhart), and L(-m) = (-1)^k L°(m), where L°
+    counts the points in the relative interior (Ehrhart-Macdonald
+    reciprocity; Beck and Robins, "Computing the Continuous Discretely",
+    Ch. 3-4).  Only L(1..ceil(k/2)) and L°(1..floor(k/2)) are counted
+    (:func:`lattice_point_count`): with L(0) they give L at the k + 1
+    consecutive integers -floor(k/2)..ceil(k/2), and Newton's forward
+    differences over them evaluate L exactly, in integers, at every other m.
+
+    The error against the limit n! c_n, c_n the leading coefficient of L, is
+    O(1/m) with leading term n! c_{n-1} / m.  For a lattice polygon with b
+    boundary lattice points Pick's theorem makes it exactly b/m + 2/m^2.
+    The limit is the mixed volume (n! vol) only for full-dimensional
+    polytopes; for a lower dimensional one c_n = 0 and the sequence tends
+    to 0 (a point gives n!/m^n)."""
     if not P.is_lattice():
         raise NotLatticePolytope("vertices are not integral")
     n = P.dimension
-    out = []
-    for m in range(1, m_max + 1):
-        count = lattice_point_count(P, m)
-        out.append(Fraction(factorial(n) * count, m ** n))
-    return tuple(out)
+    ms = range(1, m_max + 1)
+    return tuple(Fraction(factorial(n) * count, m ** n)
+                 for m, count in zip(ms, _ehrhart_values(P, ms)))
+
+
+def _ehrhart_values(P: RationalPolytope, ms: range) -> list[int]:
+    """L(m) for every m in `ms`, for a lattice polytope P (see
+    :func:`ehrhart_volume_estimate`)."""
+    k = P.affine_dimension()
+    up, down = (k + 1) // 2, k // 2
+    if k < 0 or len(ms) <= up:
+        return [lattice_point_count(P, m) for m in ms]
+    values = ([(-1) ** k * lattice_point_count(P, j, interior=True)
+               for j in range(down, 0, -1)]
+              + [1] + [lattice_point_count(P, m) for m in range(1, up + 1)])
+    differences = []
+    while values:
+        differences.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return [sum(comb(m + down, i) * d for i, d in enumerate(differences)) for m in ms]
 
 
 def line_bundle_volume(D: ToricDivisor) -> Fraction:

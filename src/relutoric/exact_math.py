@@ -21,15 +21,18 @@ description pass (:func:`double_description`), whose work grows with the
 rays it finds rather than with the C(n, dim) subsets of its input.  A
 :class:`RationalPolytope` keeps what its conversion produced: vertices,
 facet inequalities and which vertices lie on each facet, so lattice-point
-counts and volumes never rebuild them.
+counts and volumes never rebuild them.  Lattice points are counted fibre
+by fibre over the projections of the polytope (:func:`lattice_point_count`),
+not by scanning a bounding box.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import RankDeficient, ZeroVector
 
@@ -440,6 +443,12 @@ class RationalPolytope:
         base = self.vertices[0]
         return mat_rank([vsub(v, base) for v in self.vertices[1:]])
 
+    @cached_property
+    def _fibres(self):
+        """The fibre walk's data (:func:`_fibre_levels`), built once per
+        polytope for all the counts of its dilates."""
+        return _fibre_levels(self)
+
 
 def convex_hull(points) -> RationalPolytope:
     """Convex hull of a nonempty set of rational points, with its vertices,
@@ -485,79 +494,101 @@ def _described(P: RationalPolytope) -> RationalPolytope:
     return P if P.facets is not None else convex_hull(P.vertices)
 
 
-def lattice_point_count(P: RationalPolytope, m: int) -> int:
-    """Exact number of integer points in the dilate m * P.
+def lattice_point_count(P: RationalPolytope, m: int, interior: bool = False) -> int:
+    """Exact number of integer points in the dilate m * P; with `interior`,
+    in its relative interior.
 
-    Scans the bounding box of the pivot coordinates; the remaining
-    coordinates are affine functions of the pivots on the affine hull and
-    are checked for integrality.
+    A fibre walk over the pivot coordinates y_1..y_k of the affine hull of P
+    (see :func:`convex_hull`), on the facets of its projections
+    (:func:`_fibre_levels`).  An integer prefix y_1..y_{j-1} in the
+    projection of m * P to its first j - 1 coordinates bounds y_j to an
+    exact integer interval, read off the facets of the projection to the
+    first j; interior counts make every inequality strict.  At the last
+    level a full-dimensional P adds the length of the interval, and a
+    lower-dimensional one keeps the points whose other coordinates, affine
+    functions of y on the affine hull, are integers.  All of it runs in
+    Python integers, and the work grows with the integer points of the
+    projections rather than with their bounding box.
     """
     if P.is_empty():
         return 0
     if m <= 0:
         raise ValueError("dilation factor must be positive")
-    ambient = P.dimension
     if len(P.vertices) == 1:
         point = vscale(m, P.vertices[0])
         return 1 if all(x.denominator == 1 for x in point) else 0
+    levels, lift = P._fibres
+    strict = 1 if interior else 0
+    # A row (c, a, t) of level j bounds a * y_j from above by t - c . prefix
+    # when it is an upper bound, and -a * y_j when it is a lower one.
+    bounds = [tuple([(c, a, m * r - strict) for c, a, r in rows] for rows in level)
+              for level in levels]
+    last = len(bounds) - 1
+
+    def walk(j: int, prefix: IntVec) -> int:
+        upper, lower = bounds[j]
+        hi = min((t - sum(map(mul, c, prefix))) // a for c, a, t in upper)
+        lo = -min((t - sum(map(mul, c, prefix))) // a for c, a, t in lower)
+        if j < last:
+            return sum(walk(j + 1, prefix + (y,)) for y in range(lo, hi + 1))
+        if not lift:
+            return max(0, hi - lo + 1)
+        return sum(1 for y in range(lo, hi + 1)
+                   if all((m * e - sum(map(mul, h, prefix + (y,)))) % d == 0
+                          for h, e, d in lift))
+
+    return walk(0, ())
+
+
+def _fibre_levels(P: RationalPolytope):
+    """The integer data of the fibre walk of :func:`lattice_point_count`.
+
+    Level j = 1..k holds the facets c . y <= r of the projection of P to its
+    first j pivot coordinates: the stored facets of P at level k, the range
+    of y_1 at level 1, and the facets of :func:`convex_hull` of the
+    projected vertices in between.  Each is
+    scaled to integers and kept as (c_1..c_{j-1}, |c_j|, r), an upper bound
+    on y_j when c_j > 0 and a lower bound when c_j < 0.  A facet with
+    c_j = 0 is dropped: it is valid for the projection one level down, so
+    every prefix the walk reaches satisfies it, and strictly when the walk
+    keeps to the interior.
+
+    The lift has one congruence (h, e, d) per non-pivot coordinate, whose
+    value on the affine hull of m * P is (m e - h . y) / d; it keeps those
+    with d > 1, and none for a full-dimensional P.
+    """
     base = P.vertices[0]
     dirs = [vsub(v, base) for v in P.vertices[1:]]
     cols = pivot_columns(dirs)
-    # Affine lift: x = lift_const + lift_lin . y where y are pivot coords.
-    lift = _affine_lift(base, dirs, cols, ambient)
-    ranges = []
-    for k, c in enumerate(cols):
-        values = [m * v[c] for v in P.vertices]
-        lo, hi = min(values), max(values)
-        lo_int = -((-lo.numerator) // lo.denominator)  # ceil
-        hi_int = hi.numerator // hi.denominator        # floor
-        if lo_int > hi_int:
-            return 0
-        ranges.append(range(lo_int, hi_int + 1))
-    # n . y is an integer, so n . y <= m c iff n . y <= floor(m c).
-    limits = [(n, m * c // 1) for n, c in _described(P).facets]
-    count = 0
-    for y in itertools.product(*ranges):
-        if any(vdot(n, y) > limit for n, limit in limits):
-            continue
-        if lift is not None and not _lift_is_integral(lift, y, m):
-            continue
-        count += 1
-    return count
-
-
-def _affine_lift(base, dirs, cols, ambient):
-    """Expresses each non-pivot coordinate as an affine function of the
-    pivot coordinates on the affine hull; None when the hull is full."""
-    if len(cols) == ambient:
-        return None
-    basis = [dirs[i] for i in independent_rows(dirs)]
-    tmat = [[basis[j][c] for j in range(len(cols))] for c in cols]
-    rows = []
-    consts = []
-    for c in range(ambient):
-        if c in cols:
-            continue
-        # coordinate c of base + sum_j t_j basis_j where T t = (y - base_cols)
-        target = [basis[j][c] for j in range(len(cols))]
-        coeffs = solve_exact(_transpose(tmat), target)
-        const = base[c] - sum(w * base[col] for w, col in zip(coeffs, cols))
-        rows.append((c, coeffs))
-        consts.append(const)
-    return rows, consts
-
-
-def _transpose(mat):
-    return [tuple(row[i] for row in mat) for i in range(len(mat[0]))]
-
-
-def _lift_is_integral(lift, y, m: int) -> bool:
-    rows, consts = lift
-    for (c, coeffs), const in zip(rows, consts):
-        value = m * const + sum(w * yi for w, yi in zip(coeffs, y))
-        if value.denominator != 1:
-            return False
-    return True
+    k = len(cols)
+    projected = [tuple(v[c] for c in cols) for v in P.vertices]
+    levels = []
+    for j in range(1, k + 1):
+        if j == k:
+            facets = _described(P).facets
+        elif j == 1:
+            values = [v[0] for v in projected]
+            facets = [((1,), max(values)), ((-1,), -min(values))]
+        else:
+            facets = convex_hull([v[:j] for v in projected]).facets
+        upper, lower = [], []
+        for normal, offset in facets:
+            offset = frac(offset)
+            q = offset.denominator
+            row = (tuple(q * x for x in normal[:-1]), q * abs(normal[-1]), offset.numerator)
+            if normal[-1] > 0:
+                upper.append(row)
+            elif normal[-1] < 0:
+                lower.append(row)
+        levels.append((upper, lower))
+    # Each covector h of the affine hull has h_c = 1 at its own non-pivot
+    # coordinate c and 0 at the others, so x_c = h . base - sum_i h_(cols i) y_i.
+    lift = []
+    for h in nullspace_covectors(dirs, P.dimension):
+        ints, d = clear_denominators(tuple(h[c] for c in cols) + (vdot(h, base),))
+        if d > 1:
+            lift.append((ints[:-1], ints[-1], d))
+    return levels, lift
 
 
 def euclidean_volume(P: RationalPolytope) -> Fraction:

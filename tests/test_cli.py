@@ -263,6 +263,36 @@ class TestBatch:
         assert code == 2
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("with_failure", [False, True])
+    def test_batch_expect_realizable_exits_3(self, capsys, tmp_path, with_failure):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "gate.json").write_text(json.dumps(
+            {"command": "realize",
+             "input": {"dim": 2, "expr": "max(x1, x2, 0) - max(x1, 0)"},
+             "flags": {"expect_realizable": True}}))
+        if with_failure:
+            (jobs / "bad.json").write_text(json.dumps(
+                {"command": "divisor", "input": {"nonsense": True}}))
+        code = main(["--batch", str(jobs)])
+        capsys.readouterr()
+        # the report is written either way; a failed document wins over 3
+        assert code == (2 if with_failure else 3)
+        assert json.loads((jobs / "gate.out.json").read_text())["realizable"] is False
+
+    def test_batch_non_string_command(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        for name in ("a-good", "c-good"):
+            (jobs / f"{name}.json").write_text(json.dumps(
+                {"command": "divisor", "input": GOLDEN_DOC}))
+        (jobs / "b-list.json").write_text(json.dumps({"command": ["fan"], "input": {}}))
+        code = main(["--batch", str(jobs)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines == ["b-list.json: command must be a string, got ['fan']"]
+        assert (jobs / "a-good.out.json").exists() and (jobs / "c-good.out.json").exists()
+
 
 ONE_CONE_DOC = {"dim": 2, "fan": {"dim": 2, "rays": [[1, 0], [0, 1]],
                                   "cones": [{"rays": [0, 1]}]},

@@ -1,23 +1,30 @@
+import itertools
 from fractions import Fraction as F
+from math import ceil, factorial, floor, gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relutoric.divisor import ehrhart_volume_estimate
 from relutoric.errors import RankDeficient, ZeroVector
 from relutoric.exact_math import (
     RationalPolytope,
     convex_hull,
     euclidean_volume,
     independent_rows,
+    int_det,
     kernel_normal,
     lattice_point_count,
     mat_rank,
     mixed_volume,
     normalize_primitive,
     pairing_one_solution,
+    pivot_columns,
     solve_exact,
     vdot,
+    vscale,
+    vsub,
 )
 
 TRIANGLE = convex_hull([(0, 0), (0, -1), (-1, 0)])
@@ -208,6 +215,166 @@ class TestLatticeCount:
                                  counts)
             predicted = sum(c * F(d + 2) ** k for k, c in enumerate(coeffs))
             assert predicted == lattice_point_count(P, d + 2)
+
+
+def reference_lattice_point_count(P, m, interior=False):
+    """The bounding-box scan that lattice_point_count replaced: every integer
+    point of the box of the pivot coordinates of m * P is tested against the
+    facets (strictly for `interior`), and its other coordinates, affine
+    functions of the pivot ones on the affine hull, for integrality."""
+    if P.is_empty():
+        return 0
+    if len(P.vertices) == 1:
+        point = vscale(m, P.vertices[0])
+        return 1 if all(x.denominator == 1 for x in point) else 0
+    base = P.vertices[0]
+    dirs = [vsub(v, base) for v in P.vertices[1:]]
+    cols = pivot_columns(dirs)
+    lift = _affine_lift(base, dirs, cols, P.dimension)
+    ranges = [range(ceil(min(m * v[c] for v in P.vertices)),
+                    floor(max(m * v[c] for v in P.vertices)) + 1) for c in cols]
+    facets = (P if P.facets is not None else convex_hull(P.vertices)).facets
+    count = 0
+    for y in itertools.product(*ranges):
+        if any(vdot(n, y) > m * c or interior and vdot(n, y) == m * c for n, c in facets):
+            continue
+        if lift is not None and not _lift_is_integral(lift, y, m):
+            continue
+        count += 1
+    return count
+
+
+def _affine_lift(base, dirs, cols, ambient):
+    """Each non-pivot coordinate as an affine function of the pivot
+    coordinates on the affine hull; None when the hull is full."""
+    if len(cols) == ambient:
+        return None
+    basis = [dirs[i] for i in independent_rows(dirs)]
+    tmat = [[basis[j][c] for j in range(len(cols))] for c in cols]
+    transposed = [tuple(row[i] for row in tmat) for i in range(len(tmat[0]))]
+    rows = []
+    for c in range(ambient):
+        if c in cols:
+            continue
+        coeffs = solve_exact(transposed, [basis[j][c] for j in range(len(cols))])
+        const = base[c] - sum(w * base[col] for w, col in zip(coeffs, cols))
+        rows.append((coeffs, const))
+    return rows
+
+
+def _lift_is_integral(lift, y, m):
+    return all((m * const + sum(w * yi for w, yi in zip(coeffs, y))).denominator == 1
+               for coeffs, const in lift)
+
+
+def box_points(P, m):
+    """Points the reference scans for m * P."""
+    if len(P.vertices) < 2:
+        return 1
+    cols = pivot_columns([vsub(v, P.vertices[0]) for v in P.vertices[1:]])
+    return prod(max(0, floor(max(m * v[c] for v in P.vertices))
+                    - ceil(min(m * v[c] for v in P.vertices)) + 1) for c in cols)
+
+
+@st.composite
+def rational_polytopes(draw, lattice=False):
+    """Hulls in dim 1-4: of dim + 1 to dim + 4 points (full-dimensional in
+    general), of points on a random affine line or plane (the lift path),
+    or of a single point.  Coordinates are p/q with q <= 3, integers for
+    `lattice`; their range shrinks with the dimension so that the
+    reference scan stays small."""
+    dim = draw(st.integers(1, 4))
+    bound = {1: 3, 2: 3, 3: 2, 4: 1}[dim]
+    coord = st.builds(F, st.integers(-bound, bound),
+                      st.just(1) if lattice else st.integers(1, 3))
+    point = st.tuples(*[coord] * dim)
+    kind = draw(st.sampled_from(["full", "full", "flat", "flat", "point"]))
+    if kind == "point":
+        return convex_hull([draw(point)])
+    if kind == "full" or dim == 1:
+        return convex_hull(draw(st.lists(point, min_size=dim + 1, max_size=dim + 4)))
+    base = draw(point)
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                         min_size=1, max_size=min(2, dim - 1)))
+    weights = draw(st.lists(st.lists(coord, min_size=len(gens), max_size=len(gens)),
+                            min_size=1, max_size=5))
+    return convex_hull([tuple(b + sum(w * g[i] for w, g in zip(ws, gens))
+                              for i, b in enumerate(base)) for ws in weights])
+
+
+def scannable_dilations(P, limit=4000):
+    """The dilations 1-6 whose reference scan visits at most `limit` points."""
+    return [m for m in range(1, 7) if box_points(P, m) <= limit]
+
+
+class TestFibreCount:
+    @settings(max_examples=250, deadline=None)
+    @given(rational_polytopes(), st.data())
+    def test_matches_box_scan(self, P, data):
+        m = data.draw(st.sampled_from(scannable_dilations(P)))
+        for interior in (False, True):
+            assert (lattice_point_count(P, m, interior)
+                    == reference_lattice_point_count(P, m, interior))
+
+    # Each polytope has a facet whose coefficient of the last coordinate is
+    # 0, which bounds the interior without bounding any last-level fibre.
+    @pytest.mark.parametrize("points, interior_counts", [
+        ([(0, 0), (2, 0), (0, 2), (2, 2)], [1, 9, 25]),
+        ([(0, 0), (3, 0), (0, 3)], [1, 10, 28]),
+        ([(x, y, z) for x, y in [(0, 0), (3, 0), (0, 3)] for z in (0, 2)], [1, 30, 140]),
+        ([(0, 0, 0), (2, 0, 2), (0, 2, 0), (2, 2, 2)], [1, 9, 25]),
+    ])
+    def test_interior_with_facet_parallel_to_last_axis(self, points, interior_counts):
+        P = convex_hull(points)
+        for m, expected in enumerate(interior_counts, start=1):
+            assert lattice_point_count(P, m, interior=True) == expected
+            assert reference_lattice_point_count(P, m, interior=True) == expected
+
+    def test_single_point_is_its_own_interior(self):
+        assert lattice_point_count(RationalPolytope(2, ((F(1), F(2)),)), 3, True) == 1
+        assert lattice_point_count(RationalPolytope(2, ((F(1, 3), F(2)),)), 2, True) == 0
+
+
+@st.composite
+def zonotope_generators(draw):
+    """1-5 nonzero integer generators in dim 1-4, entries in [-2, 2]."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    return draw(st.lists(vector, min_size=1, max_size=5 if dim < 4 else 4))
+
+
+def stanley_zonotope_count(generators, m):
+    """L(m) = sum over linearly independent subsets S of h(S) m^|S|, h(S) the
+    gcd of the maximal minors of S (Stanley; Beck and Robins, Thm. 9.2)."""
+    dim = len(generators[0])
+    total = 0
+    for size in range(len(generators) + 1):
+        for S in itertools.combinations(generators, size):
+            h = 0
+            for columns in itertools.combinations(range(dim), size):
+                h = gcd(h, int_det([[g[c] for c in columns] for g in S]))
+            total += h * m ** size
+    return total
+
+
+class TestEhrhartSequence:
+    @settings(max_examples=120, deadline=None)
+    @given(rational_polytopes(lattice=True))
+    def test_interpolation_equals_direct_counts(self, P):
+        n, m_max = P.dimension, P.affine_dimension() + 3
+        assert ehrhart_volume_estimate(P, m_max) == tuple(
+            F(factorial(n) * lattice_point_count(P, m), m ** n) for m in range(1, m_max + 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(zonotope_generators())
+    def test_stanley_zonotope_formula(self, generators):
+        dim = len(generators[0])
+        Z = convex_hull([tuple(sum(g[i] for g in S) for i in range(dim))
+                         for size in range(len(generators) + 1)
+                         for S in itertools.combinations(generators, size)])
+        assert ehrhart_volume_estimate(Z, 6) == tuple(
+            F(factorial(dim) * stanley_zonotope_count(generators, m), m ** dim)
+            for m in range(1, 7))
 
 
 class TestVolume:
