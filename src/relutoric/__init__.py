@@ -42,7 +42,6 @@ from .fan import (
 from .divisor import (
     SupportFunction,
     ToricDivisor,
-    WallCurve,
     classify_convexity,
     divisor_coefficients,
     ehrhart_volume_estimate,

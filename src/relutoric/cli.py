@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DocumentError, NotConvexFunction, NotLatticePolytope, RelutoricError
+from .errors import DocumentError, NotLatticePolytope, RelutoricError
 from .divisor import (
     classify_convexity,
     divisor_coefficients,
@@ -156,15 +156,14 @@ def _cmd_intersect(job: JobSpec) -> JobResult:
     walls = []
     numbers = []
     for wall in fan.walls:
-        curve = wall_curve(fan, wall)
-        number = intersection_number(support, wall, curve)
+        number = intersection_number(support, wall)
         numbers.append(number)
         walls.append({
             "generators": [list(g) for g in wall.generators],
             "cones": list(wall.cones),
             "hyperplane": list(wall.normal),
             "provenance": wall.kind,
-            "lift": list(curve.lift),
+            "lift": list(wall_curve(fan, wall)),
             "number": encode_rational(number),
         })
     groups = []
@@ -204,19 +203,21 @@ def _cmd_newton(job: JobSpec) -> JobResult:
 
 
 def _cmd_volume(job: JobSpec) -> JobResult:
+    """For a support with no positive bend the Newton polytope is the
+    section polytope of the negated divisor up to sign (`newton_polytope`),
+    so `newton_volume` is the volume already computed; it is null when
+    `newton` would fail."""
+    if job.m_max < 1:
+        raise DocumentError(f"m_max must be at least 1, got {job.m_max}")
     _, support = _support_of(job.document)
-    D = divisor_coefficients(support)
-    neg = scale_divisor(D, -1)
-    P = polytope_of_divisor(neg)
+    P = polytope_of_divisor(scale_divisor(divisor_coefficients(support), -1))
+    volume = encode_rational(mixed_volume(P))
     payload = {
         "polytope": encode_polytope(P),
-        "line_bundle_volume": encode_rational(mixed_volume(P)),
+        "line_bundle_volume": volume,
         "m_max": job.m_max,
+        "newton_volume": volume if classify_convexity(support).concave else None,
     }
-    try:
-        payload["newton_volume"] = encode_rational(mixed_volume(newton_polytope(support)))
-    except NotConvexFunction:
-        payload["newton_volume"] = None
     try:
         payload["ehrhart"] = [encode_rational(v)
                               for v in ehrhart_volume_estimate(P, job.m_max)]

@@ -44,7 +44,6 @@ from .exact_math import (
     vdot,
     vneg,
     vscale,
-    vsub,
 )
 from .fan import Fan, Wall, cone_containing
 from .network import ValidatedNetwork, cleared_layers, linear_piece
@@ -73,20 +72,6 @@ class ToricDivisor:
 
     fan: Fan
     coefficients: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class WallCurve:
-    """The invariant curve of a wall: quotient direction and lattice lift.
-
-    `quotient_normal` is the primitive covector cutting out the wall span,
-    oriented nonnegative on the higher-indexed incident cone; `lift` is a
-    lattice point of that cone pairing to 1 with it.
-    """
-
-    wall: Wall
-    quotient_normal: IntVec
-    lift: IntVec
 
 
 @dataclass(frozen=True)
@@ -181,17 +166,17 @@ def support_of_network(net: ValidatedNetwork) -> SupportFunction:
 def divisor_coefficients(s: SupportFunction) -> ToricDivisor:
     """Ray coefficients a_rho = -<m_sigma, u_rho>, checked to be independent
     of the choice of incident maximal cone."""
+    values = {}
+    for m, cone in zip(s.slopes, s.fan.maximal_cones):
+        for ray in cone.rays:
+            values.setdefault(ray, set()).add(frac(-vdot(m, ray)))
     coefficients = []
     for ray in s.fan.rays:
-        values = {
-            frac(-vdot(s.slopes[i], ray))
-            for i, cone in enumerate(s.fan.maximal_cones)
-            if ray in cone.rays
-        }
-        if len(values) != 1:
+        found = values.get(ray, set())
+        if len(found) != 1:
             raise InconsistentRayValue(
-                f"ray {ray} receives {sorted(values)}; continuity breach")
-        coefficients.append(values.pop())
+                f"ray {ray} receives {sorted(found)}; continuity breach")
+        coefficients.append(found.pop())
     return ToricDivisor(s.fan, tuple(coefficients))
 
 
@@ -233,21 +218,23 @@ def add_divisors(D: ToricDivisor, E: ToricDivisor) -> ToricDivisor:
 # intersection numbers
 # ---------------------------------------------------------------------------
 
-def wall_curve(fan: Fan, wall: Wall) -> WallCurve:
-    """Quotient normal and lattice lift for a wall's invariant curve.
+def _oriented_normal(fan: Fan, wall: Wall) -> IntVec:
+    """`wall.normal`, signed to be nonnegative on the wall's second cone."""
+    second = fan.maximal_cones[wall.cones[1]]
+    outside = next(r for r in second.rays if r not in wall.generators)
+    return vneg(wall.normal) if vdot(wall.normal, outside) < 0 else wall.normal
 
-    The quotient normal is `wall.normal`, the primitive sign-canonical
-    normal of the wall span, oriented to be nonnegative on the
-    higher-indexed incident cone sigma'; the lift u solves <phi, u> = 1
-    and is pushed into sigma' along the wall's interior direction, so u maps
-    to the minimal generator of the quotient image of sigma'.
+
+def wall_curve(fan: Fan, wall: Wall) -> IntVec:
+    """Lattice lift of a wall's invariant curve.
+
+    The lift u solves <phi, u> = 1, phi the wall normal oriented to be
+    nonnegative on the higher-indexed incident cone sigma', and is pushed
+    into sigma' along the wall's interior direction, so u maps to the
+    minimal generator of the quotient image of sigma'.
     """
     second = fan.maximal_cones[wall.cones[1]]
-    phi = wall.normal
-    outside = next(r for r in second.rays if r not in wall.generators)
-    if vdot(phi, outside) < 0:
-        phi = vneg(phi)
-    u = pairing_one_solution(phi)
+    u = pairing_one_solution(_oriented_normal(fan, wall))
     interior = tuple(sum(g[i] for g in wall.generators)
                      for i in range(fan.dim))
     steps = 0
@@ -263,20 +250,24 @@ def wall_curve(fan: Fan, wall: Wall) -> WallCurve:
         steps = max(steps, (-value + slope - 1) // slope)
     if steps:
         u = vadd(u, vscale(steps, interior))
-    return WallCurve(wall, phi, tuple(int(x) for x in u))
+    return tuple(int(x) for x in u)
 
 
-def intersection_number(s: SupportFunction, wall: Wall,
-                        curve: WallCurve | None = None) -> Fraction:
-    """Bend of the support function across a wall: <m_sigma - m_sigma', u>
-    with u the lattice lift on the sigma' side.  Exact for rational slopes
-    (clearing denominators and dividing back is the same computation by
-    linearity of the pairing)."""
-    if curve is None:
-        curve = wall_curve(s.fan, wall)
+def intersection_number(s: SupportFunction, wall: Wall) -> Fraction:
+    """Bend of the support function across a wall: the intersection number
+    of its divisor with the wall's invariant curve.
+
+    On a continuous support m_sigma - m_sigma' vanishes on the wall's span,
+    so it is c * phi, phi the wall normal oriented nonnegative on sigma', and
+    its pairing with any lift u of <phi, u> = 1 (see `wall_curve`) is c
+    (Cox, Little and Schenck, "Toric Varieties", Ch. 6).  c is read off one
+    nonzero coordinate of phi.  Continuity is not re-checked here: it is
+    verified where slopes enter the package.
+    """
+    phi = _oriented_normal(s.fan, wall)
+    k = next(k for k, x in enumerate(phi) if x)
     i, j = wall.cones
-    diff = vsub(s.slopes[i], s.slopes[j])
-    return frac(vdot(diff, curve.lift))
+    return frac((s.slopes[i][k] - s.slopes[j][k]) / phi[k])
 
 
 def wall_numbers(s: SupportFunction) -> tuple[Fraction, ...]:
@@ -337,7 +328,7 @@ def newton_polytope(s: SupportFunction) -> RationalPolytope:
     """Hull of the slope covectors of a convex piecewise linear function
     (max of its linear pieces); equals the negated section polytope of the
     negated divisor."""
-    if any(n > 0 for n in wall_numbers(s)):
+    if not classify_convexity(s).concave:
         raise NotConvexFunction(
             "support has a positive bend; not a max of linear pieces")
     return convex_hull(s.slopes)

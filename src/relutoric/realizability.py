@@ -95,12 +95,9 @@ def nonlinear_locus_hyperplanes(s: SupportFunction) -> tuple[Hyperplane, ...]:
     """Span hyperplanes of the walls where the function actually bends,
     ordered by sign-canonical normal.
 
-    A wall bends exactly when its two cones carry different slopes.  The
-    function must be continuous across the wall, as every support function
-    built by this package is: then m_sigma - m_sigma' vanishes on the wall's
-    span, so it is c * phi for the wall's primitive normal phi, and the
-    wall's intersection number <m_sigma - m_sigma', u> with <phi, u> = 1 is
-    c, which is nonzero iff the slopes differ.
+    A wall bends exactly when its two cones carry different slopes: on a
+    continuous support its `intersection_number` is the c of
+    m_sigma - m_sigma' = c * phi, which is nonzero iff the slopes differ.
     """
     normals = {wall.normal for wall in s.fan.walls
                if s.slopes[wall.cones[0]] != s.slopes[wall.cones[1]]}

@@ -14,7 +14,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from relutoric.exact_math import kernel_normal, pairing_one_solution, vadd, vdot, vneg, vscale
+from relutoric.divisor import wall_curve
+from relutoric.exact_math import (
+    kernel_normal,
+    pairing_one_solution,
+    vadd,
+    vdot,
+    vneg,
+    vscale,
+    vsub,
+)
 from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var
 from relutoric.network import network
 
@@ -76,6 +85,18 @@ def nets(draw):
 
 
 @st.composite
+def random_nets(draw, max_dim, max_width):
+    """Unbiased nets of depth 1-3 with weights p/q, |p| <= 5, q <= 3."""
+    dim = draw(st.integers(2, max_dim))
+    widths = ([dim] + draw(st.lists(st.integers(1, max_width), min_size=1, max_size=3))
+              + [1])
+    weight = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    return network([[[draw(weight) for _ in range(widths[i])]
+                     for _ in range(widths[i + 1])]
+                    for i in range(len(widths) - 1)])
+
+
+@st.composite
 def expressions(draw, dim, constants=False):
     """Nested max, sums and negative scales over x1..x_dim, with rational
     constant leaves too when asked for."""
@@ -125,3 +146,13 @@ def bend_oracle(value_at, fan, wall) -> Fraction:
         raise AssertionError("could not step off the wall")
     bend = value_at(plus) + value_at(minus) - 2 * value_at(p)
     return -bend / eps
+
+
+def reference_intersection_number(s, wall, lift=None) -> Fraction:
+    """Intersection number by its lattice definition, <m_sigma - m_sigma', u>
+    with u the lift of the wall curve (`wall_curve` unless another lattice
+    point with the same pairing is given)."""
+    if lift is None:
+        lift = wall_curve(s.fan, wall)
+    i, j = wall.cones
+    return Fraction(vdot(vsub(s.slopes[i], s.slopes[j]), lift))

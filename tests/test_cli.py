@@ -1,9 +1,14 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from relutoric.cli import main
+from relutoric.divisor import newton_polytope, support_of_network
+from relutoric.exact_math import mixed_volume
+from relutoric.jsonio import encode_rational
+from relutoric.network import network
 from conftest import GOLDEN_LAYERS, SIXPIECE_EXPR
 
 GOLDEN_DOC = {"architecture": [2, 3, 1, 1], "layers": GOLDEN_LAYERS}
@@ -118,6 +123,70 @@ class TestPolytopeAndVolume:
         assert payload["line_bundle_volume"] == 1
         assert payload["newton_volume"] == 1
         assert payload["ehrhart"] == [6, 3, "20/9", "15/8"]
+
+
+    @pytest.mark.parametrize("m_max", ["0", "-5"])
+    def test_m_max_below_one_rejected(self, capsys, tmp_path, m_max):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(GOLDEN_DOC))
+        code = main(["volume", "--input", str(path), "--m-max", m_max])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: m_max must be at least 1, got {m_max}\n"
+
+    def test_batch_m_max_below_one_rejected(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        for name, m_max in (("a-zero", 0), ("b-good", 2), ("c-negative", -5)):
+            (jobs / f"{name}.json").write_text(json.dumps(
+                {"command": "volume", "input": GOLDEN_DOC, "flags": {"m_max": m_max}}))
+        code = main(["--batch", str(jobs)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines == ["a-zero.json: m_max must be at least 1, got 0",
+                         "c-negative.json: m_max must be at least 1, got -5"]
+        assert json.loads((jobs / "b-good.out.json").read_text())["ehrhart"] == [6, 3]
+        assert not (jobs / "a-zero.out.json").exists()
+
+
+def _random_layers(rng, widths, convex):
+    """Weights p/q with |p| <= 5, q <= 3; nonnegative after the first layer
+    when `convex`, which makes the net a convex function."""
+    def weight(k):
+        w = F(rng.randint(-5, 5), rng.randint(1, 3))
+        return abs(w) if convex and k > 0 else w
+    return [[[weight(k) for _ in range(widths[k])] for _ in range(widths[k + 1])]
+            for k in range(len(widths) - 1)]
+
+
+class TestNewtonVolume:
+    """`volume` reports `newton_volume` from the section polytope it holds;
+    it must be the volume of `newton`'s polytope, and null where `newton`
+    fails."""
+
+    @pytest.mark.parametrize("convex", [True, False])
+    def test_matches_newton(self, capsys, tmp_path, convex):
+        rng = random.Random(11 if convex else 12)
+        nulls = 0
+        for i in range(16):
+            dim = 2 + i % 2
+            widths = [dim] + [rng.randint(1, 4) for _ in range(1 + i % 3)] + [1]
+            layers = _random_layers(rng, widths, convex)
+            doc = {"architecture": widths, "layers": [
+                [[str(w) for w in row] for row in layer] for layer in layers]}
+            code, out = run(capsys, tmp_path, "newton", doc)
+            assert code in (0, 2)
+            code_v, payload = run_json(capsys, tmp_path, "volume", doc, "--m-max", "1")
+            assert code_v == 0
+            if code == 2:
+                nulls += 1
+                assert payload["newton_volume"] is None
+            else:
+                s = support_of_network(network(layers))
+                expected = mixed_volume(newton_polytope(s))
+                assert payload["newton_volume"] == encode_rational(expected)
+        assert nulls == 0 if convex else nulls > 0
 
 
 class TestSectionPolytopeCases:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
 
@@ -41,7 +42,12 @@ from relutoric.exact_math import (
     vadd,
     vdot,
 )
-from relutoric.expressions import evaluate_expression, parse_expression, parse_and_compile
+from relutoric.expressions import (
+    compile_expression,
+    evaluate_expression,
+    parse_and_compile,
+    parse_expression,
+)
 from relutoric.fan import (
     Fan,
     build_relu_fan,
@@ -51,7 +57,15 @@ from relutoric.fan import (
     hyperplane,
 )
 from relutoric.network import network
-from conftest import SIXPIECE_EXPR, bend_oracle, rand_point, rand_rational
+from conftest import (
+    SIXPIECE_EXPR,
+    bend_oracle,
+    expressions,
+    rand_point,
+    rand_rational,
+    random_nets,
+    reference_intersection_number,
+)
 
 
 @pytest.fixture
@@ -180,13 +194,11 @@ class TestIntersectionNumbers:
     def test_lift_independence(self, sixpiece_support):
         s = sixpiece_support
         for wall in s.fan.walls:
-            curve = wall_curve(s.fan, wall)
-            base = intersection_number(s, wall, curve)
+            base = intersection_number(s, wall)
+            lift = wall_curve(s.fan, wall)
             for k in (1, 2, -3):
-                shifted = curve.__class__(
-                    wall, curve.quotient_normal,
-                    vadd(curve.lift, tuple(k * g for g in wall.generators[0])))
-                assert intersection_number(s, wall, shifted) == base
+                shifted = vadd(lift, tuple(k * g for g in wall.generators[0]))
+                assert reference_intersection_number(s, wall, shifted) == base
 
     def test_side_symmetry(self, sixpiece_support):
         s = sixpiece_support
@@ -200,10 +212,11 @@ class TestIntersectionNumbers:
     def test_lift_lands_in_second_cone(self, sixpiece_support):
         s = sixpiece_support
         for wall in s.fan.walls:
-            curve = wall_curve(s.fan, wall)
+            lift = wall_curve(s.fan, wall)
             second = s.fan.maximal_cones[wall.cones[1]]
-            assert second.contains(curve.lift)
-            assert vdot(curve.quotient_normal, curve.lift) == 1
+            assert second.contains(lift)
+            # inside sigma', so the normal oriented toward sigma' pairs to +1
+            assert abs(vdot(wall.normal, lift)) == 1
 
     def test_linearity_and_scaling(self, golden_support):
         rng = random.Random(13)
@@ -220,6 +233,42 @@ class TestIntersectionNumbers:
                 for l in (2, 3, 7):
                     sLD = support_from_divisor(scale_divisor(D, l))
                     assert intersection_number(sLD, wall) == l * intersection_number(sD, wall)
+
+
+def assert_lift_agrees(s):
+    """`intersection_number` equals the lattice definition on every wall of
+    s, also with the two cones of the wall swapped."""
+    for wall in s.fan.walls:
+        swapped = replace(wall, cones=wall.cones[::-1])
+        number = intersection_number(s, wall)
+        assert number == reference_intersection_number(s, wall), wall
+        assert intersection_number(s, swapped) == number
+        assert reference_intersection_number(s, swapped) == number
+
+
+class TestWallNumberAgainstLift:
+    @settings(max_examples=60, deadline=None)
+    @given(random_nets(max_dim=4, max_width=4))
+    def test_nets(self, net):
+        assert_lift_agrees(support_of_network(net))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), expressions(d))))
+    def test_compiled_expressions(self, case):
+        dim, expr = case
+        assert_lift_agrees(compile_expression(expr, dim))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_divisors(self, data):
+        fan = build_relu_fan(data.draw(random_nets(max_dim=4, max_width=3)))
+        weight = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+        D = ToricDivisor(fan, tuple(data.draw(weight) for _ in fan.rays))
+        try:
+            s = support_from_divisor(D)
+        except NotQCartier:
+            assume(False)
+        assert_lift_agrees(s)
 
 
 class TestSingleNeuronLaws:

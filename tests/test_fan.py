@@ -41,7 +41,7 @@ from relutoric.fan import (
 )
 from relutoric.jsonio import decode_fan, encode_fan
 from relutoric.network import NeuronId, evaluate, network, neuron_value
-from conftest import bend_oracle, rand_point, rand_rational
+from conftest import bend_oracle, rand_point, rand_rational, random_nets
 
 GOLDEN_RAYS = ((1, 0), (1, 1), (-1, 0), (-1, -1), (0, -1))
 
@@ -339,18 +339,6 @@ def small_central_fans(draw):
                             min_size=dim, max_size=8 if dim == 2 else 4))
     assume(mat_rank(normals) == dim)
     return central_fan([hyperplane(n) for n in normals], dim)
-
-
-@st.composite
-def random_nets(draw, max_dim, max_width):
-    """Unbiased nets of depth 1-3 with weights p/q, |p| <= 5, q <= 3."""
-    dim = draw(st.integers(2, max_dim))
-    widths = ([dim] + draw(st.lists(st.integers(1, max_width), min_size=1, max_size=3))
-              + [1])
-    weight = st.fractions(min_value=-5, max_value=5, max_denominator=3)
-    return network([[[draw(weight) for _ in range(widths[i])]
-                     for _ in range(widths[i + 1])]
-                    for i in range(len(widths) - 1)])
 
 
 # Sixteen directions around the plane, counterclockwise.

@@ -7,6 +7,10 @@
 - No `gcd` or `lcm` outside `exact_math.py`: primitive rows and common
   denominators come from its helpers, so every module puts a rational row
   in lowest integer terms the same way.
+- The lattice lift of a wall curve is only for the `lift` field of
+  `intersect`: only `cli._cmd_intersect` uses `wall_curve`, and only
+  `wall_curve` uses `pairing_one_solution`.  Wall numbers come from slope
+  jumps (`divisor.intersection_number`).
 """
 
 from __future__ import annotations
@@ -75,6 +79,40 @@ def integer_normal_form_uses(tree: ast.Module) -> list[str]:
     return found
 
 
+def name_uses(tree: ast.Module, name: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of every read of `name`, as a
+    bare name or an attribute; `<module>` outside any function."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if ((isinstance(child, ast.Name) and child.id == name
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute) and child.attr == name)):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+# routine -> the one place in src/ allowed to use it
+SOLE_USER = {
+    "wall_curve": "cli._cmd_intersect",
+    "pairing_one_solution": "divisor.wall_curve",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLE_USER))
+def test_lattice_lift_has_one_user(name):
+    users = {f"{path.stem}.{scope}" for path in SOURCES
+             for scope, _ in name_uses(_tree(path), name)}
+    assert users == {SOLE_USER[name]}
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -121,6 +159,20 @@ class TestScanner:
                          "m = math.lcm(2, 3)\n")
         assert integer_normal_form_uses(tree) == ["from math import gcd (line 2)",
                                                   "math.lcm (line 3)"]
+
+    def test_finds_name_uses_by_scope(self):
+        tree = ast.parse("from .divisor import wall_curve\n"
+                         "lift = wall_curve(fan, wall)\n"
+                         "def outer(fan):\n"
+                         "    def inner(w):\n"
+                         "        return divisor.wall_curve(fan, w)\n"
+                         "    wall_curve = None\n"
+                         "    return map(wall_curve, fan.walls)\n"
+                         "class Report:\n"
+                         "    def lifts(self):\n"
+                         "        return [wall_curve(self.fan, w) for w in self.walls]\n")
+        assert name_uses(tree, "wall_curve") == [
+            ("<module>", 2), ("inner", 5), ("outer", 7), ("lifts", 10)]
 
     def test_sources_found(self):
         assert {p.name for p in SOURCES} >= {"divisor.py", "fan.py", "realizability.py"}

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from relutoric.cli import JobSpec, run_job
 from relutoric.errors import CriterionFailed
-from relutoric.divisor import intersection_number, support_of_network
+from relutoric.divisor import support_of_network
 from relutoric.exact_math import vdot
 from relutoric.expressions import (
     compile_expression,
@@ -25,7 +25,15 @@ from relutoric.realizability import (
     verify_synthesis,
     verify_up_to_linear,
 )
-from conftest import SIXPIECE_EXPR, expressions, nets, rand_point, rand_shallow_net, weights
+from conftest import (
+    SIXPIECE_EXPR,
+    expressions,
+    nets,
+    rand_point,
+    rand_shallow_net,
+    reference_intersection_number,
+    weights,
+)
 
 
 @pytest.fixture
@@ -54,10 +62,10 @@ class TestNonlinearLocus:
 
 def reference_bend_locus(s):
     """The bend locus by its definition: span hyperplanes of the walls with a
-    nonzero intersection number."""
+    nonzero intersection number, paired with the lattice lift."""
     normals = []
     for wall in s.fan.walls:
-        if intersection_number(s, wall) != 0 and wall.normal not in normals:
+        if reference_intersection_number(s, wall) != 0 and wall.normal not in normals:
             normals.append(wall.normal)
     return tuple(Hyperplane(n, EXTENDED) for n in sorted(normals))
 
