@@ -5,11 +5,15 @@ with stable key order.  Results go to stdout or --output; diagnostics to
 stderr.  Exit codes: 0 success, 2 validation or parse error, 3 criterion
 failure under `realize --expect-realizable`.  A batch exits 2 when any
 document failed, else 3 when any job exited 3.
+
+One process builds the argument parser once, on its first `main` call;
+parsing keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -409,6 +413,7 @@ def _run_batch(directory: str, fmt: str) -> int:
     return 2 if failures else 3 if criterion_failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relutoric",

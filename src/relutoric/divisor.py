@@ -165,14 +165,15 @@ def support_of_network(net: ValidatedNetwork) -> SupportFunction:
 
 def divisor_coefficients(s: SupportFunction) -> ToricDivisor:
     """Ray coefficients a_rho = -<m_sigma, u_rho>, checked to be independent
-    of the choice of incident maximal cone."""
+    of the choice of incident maximal cone; paired on the cleared slopes."""
+    slopes, mult = common_integer_scale(s.slopes)
     values = {}
-    for m, cone in zip(s.slopes, s.fan.maximal_cones):
+    for m, cone in zip(slopes, s.fan.maximal_cones):
         for ray in cone.rays:
-            values.setdefault(ray, set()).add(frac(-vdot(m, ray)))
+            values.setdefault(ray, set()).add(-vdot(m, ray))
     coefficients = []
     for ray in s.fan.rays:
-        found = values.get(ray, set())
+        found = {Fraction(v, mult) for v in values.get(ray, ())}
         if len(found) != 1:
             raise InconsistentRayValue(
                 f"ray {ray} receives {sorted(found)}; continuity breach")

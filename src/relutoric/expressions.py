@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousConstant, ParseError, UnknownVariable
-from .exact_math import is_zero_vector, ratvec, vadd, vneg, vscale, vsub
+from .exact_math import is_zero_vector, ratvec, vadd, vdot, vneg, vscale, vsub
 from .divisor import SupportFunction, support_on_fan
 from .fan import EXTENDED, Hyperplane, augmented_central_fan, hyperplane, merge_hyperplanes
 
@@ -244,46 +244,64 @@ def _eval(expr: Expr, point) -> Fraction:
 def affine_forms(expr: Expr, dim: int) -> set:
     """All affine forms (slope, constant) the expression can take on linear
     pieces; an overapproximation for nested maxima."""
+    return _forms_table(expr, dim)[id(expr)]
+
+
+def _forms_table(expr: Expr, dim: int) -> dict[int, set]:
+    """The affine forms of every node of the tree, keyed by node identity;
+    one post-order pass computes each node's set once, from its children's.
+    A node with a single form is that affine function everywhere."""
+    table = {}
+    _node_forms(expr, dim, table)
+    return table
+
+
+def _node_forms(expr: Expr, dim: int, table: dict[int, set]) -> set:
     zero = tuple(Fraction(0) for _ in range(dim))
     if isinstance(expr, Var):
         slope = tuple(Fraction(1) if i == expr.index - 1 else Fraction(0)
                       for i in range(dim))
-        return {(slope, Fraction(0))}
-    if isinstance(expr, Const):
-        return {(zero, expr.value)}
-    if isinstance(expr, Neg):
-        return {(vneg(s), -c) for s, c in affine_forms(expr.arg, dim)}
-    if isinstance(expr, Scale):
-        return {(vscale(expr.coeff, s), expr.coeff * c)
-                for s, c in affine_forms(expr.arg, dim)}
-    if isinstance(expr, Sum):
+        forms = {(slope, Fraction(0))}
+    elif isinstance(expr, Const):
+        forms = {(zero, expr.value)}
+    elif isinstance(expr, Neg):
+        forms = {(vneg(s), -c) for s, c in _node_forms(expr.arg, dim, table)}
+    elif isinstance(expr, Scale):
+        forms = {(vscale(expr.coeff, s), expr.coeff * c)
+                 for s, c in _node_forms(expr.arg, dim, table)}
+    elif isinstance(expr, Sum):
         forms = {(zero, Fraction(0))}
         for term in expr.terms:
-            term_forms = affine_forms(term, dim)
+            term_forms = _node_forms(term, dim, table)
             forms = {(vadd(s1, s2), c1 + c2)
                      for s1, c1 in forms
                      for s2, c2 in term_forms}
-        return forms
-    if isinstance(expr, Max):
-        out = set()
+    elif isinstance(expr, Max):
+        forms = set()
         for arg in expr.args:
-            out |= affine_forms(arg, dim)
-        return out
-    raise TypeError(f"not an expression node: {expr!r}")
+            forms |= _node_forms(arg, dim, table)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    table[id(expr)] = forms
+    return forms
 
 
-def _check_homogeneous(expr: Expr, dim: int) -> None:
+def _check_homogeneous(expr: Expr, dim: int) -> dict[int, set]:
+    """Reject a nonzero constant under a max or in the whole function, naming
+    the first met in pre-order; returns the forms table."""
+    forms = _forms_table(expr, dim)
     for node in _walk(expr):
         if isinstance(node, Max):
             for arg in node.args:
-                for _, const in affine_forms(arg, dim):
+                for _, const in forms[id(arg)]:
                     if const != 0:
                         raise InhomogeneousConstant(
                             f"constant {const} inside max breaks homogeneity")
-    for _, const in affine_forms(expr, dim):
+    for _, const in forms[id(expr)]:
         if const != 0:
             raise InhomogeneousConstant(
                 f"constant {const} breaks homogeneity")
+    return forms
 
 
 def _walk(expr: Expr):
@@ -304,14 +322,16 @@ def _walk(expr: Expr):
 # compilation to a support function
 # ---------------------------------------------------------------------------
 
-def candidate_hyperplanes(expr: Expr, dim: int) -> tuple[Hyperplane, ...]:
+def candidate_hyperplanes(expr: Expr, dim: int, forms=None) -> tuple[Hyperplane, ...]:
     """Pairwise differences of the possible linear forms of max arguments;
-    every locus where the compiled function can bend lies on one of these."""
+    every locus where the compiled function can bend lies on one of these.
+    `forms` is the expression's forms table when the caller holds it."""
+    forms = _forms_table(expr, dim) if forms is None else forms
     planes = []
     for node in _walk(expr):
         if not isinstance(node, Max):
             continue
-        form_sets = [affine_forms(arg, dim) for arg in node.args]
+        form_sets = [forms[id(arg)] for arg in node.args]
         for i in range(len(form_sets)):
             for j in range(i + 1, len(form_sets)):
                 for si, _ in form_sets[i]:
@@ -333,39 +353,38 @@ def compile_expression(expr: Expr, dim: int) -> SupportFunction:
     arguments tied at an interior point of a cone agree on the whole cone
     and have equal slopes there.
     """
-    _check_homogeneous(expr, dim)
-    fan = augmented_central_fan(candidate_hyperplanes(expr, dim), dim)
-    return support_on_fan(fan, [_value_and_slope(expr, cone.interior_point(), dim)[1]
+    forms = _check_homogeneous(expr, dim)
+    fan = augmented_central_fan(candidate_hyperplanes(expr, dim, forms), dim)
+    return support_on_fan(fan, [_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
                                 for cone in fan.maximal_cones])
 
 
-def _value_and_slope(expr: Expr, point, dim: int):
-    """Value at the point and slope of the linear piece chosen there."""
-    if isinstance(expr, Var):
-        slope = tuple(1 if i == expr.index - 1 else 0 for i in range(dim))
-        return point[expr.index - 1], slope
-    if isinstance(expr, Const):
-        return expr.value, (0,) * dim
+def _value_and_slope(expr: Expr, point, dim: int, forms=None):
+    """Value at the point and slope of the linear piece chosen there; a node
+    with a single affine form in `forms` is read off it without recursing."""
+    forms = _forms_table(expr, dim) if forms is None else forms
+    own = forms[id(expr)]
+    if len(own) == 1:
+        (slope, const), = own
+        return vdot(slope, point) + const, slope
     if isinstance(expr, Neg):
-        value, slope = _value_and_slope(expr.arg, point, dim)
+        value, slope = _value_and_slope(expr.arg, point, dim, forms)
         return -value, vneg(slope)
     if isinstance(expr, Scale):
-        value, slope = _value_and_slope(expr.arg, point, dim)
+        value, slope = _value_and_slope(expr.arg, point, dim, forms)
         return expr.coeff * value, vscale(expr.coeff, slope)
     if isinstance(expr, Sum):
         value, slope = 0, (0,) * dim
         for term in expr.terms:
-            v, m = _value_and_slope(term, point, dim)
+            v, m = _value_and_slope(term, point, dim, forms)
             value, slope = value + v, vadd(slope, m)
         return value, slope
-    if isinstance(expr, Max):
-        best = None
-        for arg in expr.args:
-            value, slope = _value_and_slope(arg, point, dim)
-            if best is None or value > best[0]:
-                best = value, slope
-        return best
-    raise TypeError(f"not an expression node: {expr!r}")
+    best = None  # a Max; every other node with several forms is handled above
+    for arg in expr.args:
+        value, slope = _value_and_slope(arg, point, dim, forms)
+        if best is None or value > best[0]:
+            best = value, slope
+    return best
 
 
 def parse_and_compile(text: str, dim: int) -> SupportFunction:

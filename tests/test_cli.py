@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from relutoric.cli import main
+from relutoric.cli import build_parser, main
 from relutoric.divisor import newton_polytope, support_of_network
 from relutoric.exact_math import mixed_volume
 from relutoric.jsonio import encode_rational
@@ -556,3 +556,39 @@ class TestInputBoundary:
         code, err = run_error(capsys, tmp_path, "polytope", dict(GOLDEN_DOC, negate="false"))
         assert code == 2
         assert err.startswith("error: negate must be true or false, got 'false'")
+
+
+class TestParserReuse:
+    """One process builds the parser once; no flag of one call reaches the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_m_max_resets(self, capsys, tmp_path):
+        code, first = run_json(capsys, tmp_path, "volume", GOLDEN_DOC, "--m-max", "3")
+        assert (code, first["m_max"]) == (0, 3)
+        code, second = run_json(capsys, tmp_path, "volume", GOLDEN_DOC)
+        assert (code, second["m_max"]) == (0, 8)
+
+    def test_negate_resets(self, capsys, tmp_path):
+        code, first = run_json(capsys, tmp_path, "polytope", GOLDEN_DOC, "--negate")
+        assert (code, first["vertices"]) == (0, [[-1, 0], [0, -1], [0, 0]])
+        code, second = run_json(capsys, tmp_path, "polytope", GOLDEN_DOC)
+        assert (code, second["empty"]) == (0, True)
+
+    def test_expect_realizable_resets(self, capsys, tmp_path):
+        code, _ = run(capsys, tmp_path, "realize", SIXPIECE_DOC, "--expect-realizable")
+        assert code == 3
+        code, payload = run_json(capsys, tmp_path, "realize", SIXPIECE_DOC)
+        assert (code, payload["realizable"]) == (0, False)
+
+    def test_help_and_bad_flag_leave_it_usable(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        with pytest.raises(SystemExit) as info:
+            main(["volume", "--no-such-flag"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        code, payload = run_json(capsys, tmp_path, "volume", GOLDEN_DOC)
+        assert (code, payload["line_bundle_volume"]) == (0, 1)

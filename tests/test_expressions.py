@@ -155,6 +155,28 @@ class TestAffineFormsAgainstReference:
         dim, expr = case
         assert list(affine_forms(expr, dim)) == list(reference_affine_forms(expr, dim))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda d: st.tuples(st.just(d), expression_trees(d, constants=True))))
+    def test_table_holds_every_node(self, case):
+        dim, expr = case
+        table = expressions._forms_table(expr, dim)
+        for node in expressions._walk(expr):
+            assert list(table[id(node)]) == list(reference_affine_forms(node, dim))
+
+    def test_table_built_once_per_compile(self, monkeypatch):
+        nodes = len(list(expressions._walk(parse_expression(SIXPIECE_EXPR, 2))))
+        tables, visits = [], []
+        build, node_forms = expressions._forms_table, expressions._node_forms
+        monkeypatch.setattr(expressions, "_forms_table",
+                            lambda expr, dim: tables.append(expr) or build(expr, dim))
+        monkeypatch.setattr(expressions, "_node_forms",
+                            lambda expr, dim, table: visits.append(expr)
+                            or node_forms(expr, dim, table))
+        parse_and_compile(SIXPIECE_EXPR, 2)
+        assert len(tables) == 1
+        assert len(visits) == nodes
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [
