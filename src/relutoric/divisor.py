@@ -88,6 +88,9 @@ def support_on_fan(fan: Fan, slopes) -> SupportFunction:
     if len(slopes) != len(fan.maximal_cones):
         raise ContinuityViolation(
             f"{len(slopes)} slopes for {len(fan.maximal_cones)} cones")
+    for m in slopes:
+        if len(m) != fan.dim:
+            raise DimensionMismatch(f"a slope has {len(m)} entries, expected {fan.dim}")
     s = SupportFunction(fan, slopes)
     _check_continuity(s)
     return s

@@ -7,18 +7,20 @@ reduces to the handful of primitives in this module, and none of them ever
 touches a float.
 
 The arithmetic runs on Python integers wherever it can.  Rank, pivot
-columns, linear solves and kernels share one fraction-free elimination
-(:func:`_echelon`): each row is cleared of denominators once, eliminated
-with integer row operations and kept small by dividing out its gcd; only
-the back substitution over the at most n pivot rows uses Fractions.
-:func:`independent_rows` picks a basis among given rows, in their order,
-with the same integer row operations.  Determinants use Bareiss
-elimination, and hyperplane normals come from signed maximal minors.
+columns, the greedy basis of given rows, linear solves and kernels are all
+read off one fraction-free elimination (:func:`_echelon`): each row in turn
+is cleared of denominators once, reduced with integer row operations
+against the pivot rows before it and kept small by dividing out its gcd;
+only the back substitution over the at most n pivot rows uses Fractions.
+Determinants use Bareiss elimination, and hyperplane normals come from
+signed maximal minors.
 
 Every conversion between generators and inequalities — polytope hulls,
 section polytopes, the facets of a cone — is one integer double
 description pass (:func:`double_description`), whose work grows with the
-rays it finds rather than with the C(n, dim) subsets of its input.  A
+rays it finds rather than with the C(n, dim) subsets of its input.  Its cut
+step (:func:`crossing_rays`, :func:`keep_side`) also splits the cones of
+every fan.  A
 :class:`RationalPolytope` keeps what its conversion produced: vertices,
 facet inequalities and which vertices lie on each facet, so lattice-point
 counts and volumes never rebuild them.  Lattice points are counted fibre
@@ -117,89 +119,83 @@ def rational_to_primitive(v) -> IntVec:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Integer row echelon form by fraction-free forward elimination.
+def _echelon(rows) -> list[tuple[int, int, list[int]]]:
+    """Fraction-free row reduction, one row at a time, in order.
 
     Each row is scaled once to integers by the positive lcm of its
-    denominators.  Elimination then uses integer row operations only, and
-    each updated row is divided by the gcd of its entries, so the numbers
-    stay small.  Pivots are sought in the first `ncols` columns (default:
-    all), which lets a right-hand side ride along in a last column.
-    Returns the rows, pivot rows first, and the pivot columns.
+    denominators and reduced with integer row operations against the pivot
+    rows kept so far, each of which owns the column of its first nonzero
+    entry.  A row with something left becomes a pivot row, divided by the
+    gcd of its entries so the numbers stay small; it is zero in every
+    earlier pivot column.  Returns (row index, pivot column, pivot row) for
+    each row that gave a pivot, in order.  The scan stops once the pivot
+    rows span every column.
     """
-    work = [list(clear_denominators(row)[0]) for row in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(work):
-            break
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        top = work[rank]
-        p = top[col]
-        for r in range(rank + 1, len(work)):
-            f = work[r][col]
-            if f:
-                row = [p * x - f * y for x, y in zip(work[r], top)]
-                g = gcd(*row)
-                work[r] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-    return work, pivots
+    pivots: list[tuple[int, int, list[int]]] = []
+    for i, row in enumerate(rows):
+        v = list(clear_denominators(row)[0])
+        for _, col, b in pivots:
+            if v[col]:
+                v = [b[col] * x - v[col] * y for x, y in zip(v, b)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is not None:
+            g = gcd(*v)
+            pivots.append((i, col, [x // g for x in v]))
+            if len(pivots) == len(v):
+                break
+    return pivots
 
 
-def _back_substitute(echelon, pivots, x: list, rhs=None) -> RatVec:
-    """Complete `x`, whose free coordinates are already set, so that pivot
-    row r of the echelon form pairs with it to rhs[r] (to 0 without rhs)."""
-    n = len(x)
-    for r in reversed(range(len(pivots))):
-        row, col = echelon[r], pivots[r]
-        rest = sum(row[j] * x[j] for j in range(col + 1, n))
-        x[col] = Fraction((rhs[r] if rhs is not None else 0) - rest, row[col])
+def _back_substitute(pivots, x: list) -> RatVec:
+    """Complete `x`, whose free coordinates are already set, so that every
+    pivot row pairs with it to 0.  The newest pivot row goes first: each is
+    zero in the pivot columns of the rows before it."""
+    for _, col, row in reversed(pivots):
+        rest = sum(row[j] * x[j] for j in range(col + 1, len(x)))
+        x[col] = Fraction(-rest, row[col])
     return tuple(x)
 
 
 def mat_rank(rows) -> int:
     """Rank of a matrix given as an iterable of row vectors."""
-    return len(_echelon(rows)[1])
+    return len(_echelon(rows))
 
 
 def pivot_columns(rows) -> list[int]:
     """Column indices of pivots after Gaussian elimination."""
-    return _echelon(rows)[1]
+    return sorted(col for _, col, _ in _echelon(rows))
 
 
 def solve_exact(rows, rhs) -> RatVec | None:
     """Solve a (possibly overdetermined) linear system exactly.
 
-    Returns the unique solution, or None when the system is inconsistent.
-    Raises RankDeficient when the solution is not unique.
+    Returns the unique solution, or None when the system is inconsistent:
+    when the right-hand side column holds a pivot.  Raises RankDeficient
+    when the solution is not unique.  The solution, extended by -1, is the
+    kernel vector of the augmented rows that ends in -1.
     """
     augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
     if not augmented:
         raise RankDeficient("empty system")
     ncols = len(augmented[0]) - 1
-    echelon, pivots = _echelon(augmented, ncols)
-    if any(row[ncols] for row in echelon[len(pivots):]):
+    pivots = _echelon(augmented)
+    if any(col == ncols for _, col, _ in pivots):
         return None
     if len(pivots) < ncols:
         raise RankDeficient("system is underdetermined")
-    return _back_substitute(echelon, pivots, [0] * ncols,
-                            [row[ncols] for row in echelon])
+    return _back_substitute(pivots, [0] * ncols + [-1])[:-1]
 
 
 def nullspace_covectors(rows, dim: int) -> list[RatVec]:
     """Basis of covectors vanishing on every given vector (rational): one
     per free column, that coordinate 1 and the other free ones 0."""
-    echelon, pivots = _echelon(rows, dim)
+    pivots = _echelon(rows)
+    bound = {col for _, col, _ in pivots}
     basis = []
-    for free in (c for c in range(dim) if c not in pivots):
+    for free in (c for c in range(dim) if c not in bound):
         x = [Fraction(0)] * dim
         x[free] = Fraction(1)
-        basis.append(_back_substitute(echelon, pivots, x))
+        basis.append(_back_substitute(pivots, x))
     return basis
 
 
@@ -265,28 +261,9 @@ def kernel_normal(generators, dim: int | None = None) -> IntVec:
 
 def independent_rows(rows) -> list[int]:
     """Indices of the rows that are independent of the rows before them, in
-    the order given: the greedy basis of their span.
-
-    Each row is cleared of denominators and reduced in integers against the
-    rows already chosen, each of which owns the column of its first nonzero
-    entry; the row is chosen when something remains.  The scan stops once
-    the chosen rows span the whole space.
-    """
-    chosen: list[int] = []
-    reduced: list[tuple[int, list[int]]] = []
-    for i, row in enumerate(rows):
-        v = list(clear_denominators(row)[0])
-        for col, b in reduced:
-            if v[col]:
-                v = [b[col] * x - v[col] * y for x, y in zip(v, b)]
-        col = next((c for c, x in enumerate(v) if x), None)
-        if col is not None:
-            chosen.append(i)
-            g = gcd(*v)
-            reduced.append((col, [x // g for x in v]))
-            if len(chosen) == len(v):
-                break
-    return chosen
+    the order given: the greedy basis of their span, read off
+    :func:`_echelon`."""
+    return [i for i, _, _ in _echelon(rows)]
 
 
 def pairing_one_solution(phi: IntVec) -> IntVec:
@@ -361,6 +338,19 @@ def crossing_rays(rays, zero_sets, products, dim: int) -> list[tuple[IntVec, fro
     return crossings
 
 
+def keep_side(rays, zero_sets, products, crossings,
+              row: int) -> tuple[list[IntVec], list[frozenset]]:
+    """The rays of a cone cut by the halfspace where `products` (the rays'
+    pairings with the cut) are >= 0, with their zero sets: the rays on that
+    side and then the `crossings` of :func:`crossing_rays`.  A ray on the
+    cut, and every crossing, gains `row`, the cut's index."""
+    tight = frozenset((row,))
+    kept = [(r, z | tight if p == 0 else z)
+            for r, z, p in zip(rays, zero_sets, products) if p >= 0]
+    kept += [(r, z | tight) for r, z in crossings]
+    return [r for r, _ in kept], [z for _, z in kept]
+
+
 def double_description(rows, dim: int) -> tuple[list[IntVec], list[frozenset], set[int]]:
     """Extreme rays of the cone {y in R^dim : <row, y> >= 0 for every row}.
 
@@ -399,12 +389,7 @@ def double_description(rows, dim: int) -> tuple[list[IntVec], list[frozenset], s
             crossings = crossing_rays(rays, zero_sets, products, dim)
             facets &= {i for p, z in zip(products, zero_sets) if p > 0 for i in z}
             facets.add(j)
-        tight = frozenset((j,))
-        kept = [(r, z | tight if p == 0 else z)
-                for r, z, p in zip(rays, zero_sets, products) if p >= 0]
-        kept += [(r, z | tight) for r, z in crossings]
-        rays = [r for r, _ in kept]
-        zero_sets = [z for _, z in kept]
+        rays, zero_sets = keep_side(rays, zero_sets, products, crossings, j)
     return rays, zero_sets, facets
 
 

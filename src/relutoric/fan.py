@@ -7,6 +7,8 @@ maximal cone wherever the composed (cone-linear) functional of a deeper
 neuron changes sign.  Each split is one exact double-description step on
 integers, so cones carry both their extreme rays and an irredundant inward
 facet description, and no cell is ever enumerated that does not exist.
+Each cone also keeps which rays lie on each of its facets, as the step that
+made it found them, and the walls of the fan are read off that record.
 
 Deterministic ordering: in the plane, rays and maximal cones are sorted
 counterclockwise starting from the positive x-axis, which matches the usual
@@ -29,6 +31,7 @@ from .exact_math import (
     independent_rows,
     integer_kernel_direction,
     is_zero_vector,
+    keep_side,
     mat_rank,
     nullspace_covectors,
     rational_to_primitive,
@@ -80,10 +83,15 @@ def merge_hyperplanes(hyperplanes) -> tuple[Hyperplane, ...]:
 @dataclass(frozen=True)
 class Cone:
     """A strongly convex rational polyhedral cone with extreme rays and an
-    irredundant inward facet description."""
+    irredundant inward facet description.
+
+    `facet_rays` holds, for each halfspace in turn, the sorted tuple of the
+    rays on it, as the double description step that made the cone found it.
+    """
 
     rays: tuple[IntVec, ...]
     halfspaces: tuple[IntVec, ...]
+    facet_rays: tuple[tuple[IntVec, ...], ...]
     dim: int
 
     def contains(self, x) -> bool:
@@ -172,8 +180,12 @@ def cone_from_rays(rays, dim: int) -> Cone:
             prim.append(p)
     equations = [rational_to_primitive(c) for c in nullspace_covectors(prim, dim)]
     equations += [vneg(e) for e in equations]
-    normals, _, _ = double_description(prim + equations, dim)
-    return Cone(tuple(sorted(prim)), tuple(sorted(normals + equations)), dim)
+    normals, zero_sets, _ = double_description(prim + equations, dim)
+    rays = tuple(sorted(prim))
+    facets = sorted([(n, tuple(sorted(prim[i] for i in z if i < len(prim))))
+                     for n, z in zip(normals, zero_sets)]
+                    + [(e, rays) for e in equations])
+    return Cone(rays, tuple(n for n, _ in facets), tuple(t for _, t in facets), dim)
 
 
 def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
@@ -181,41 +193,39 @@ def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
 
     Returns (negative side, positive side) or None when the hyperplane does
     not separate the cone's interior.  This is one double-description step
-    in integers (:func:`crossing_rays`): it needs the cone's rays to be
-    exactly its extreme rays and its facets to be irredundant, which every
-    cone this engine makes satisfies, and `cut` to be primitive.  Each edge
-    of the cone that the cut crosses yields one new ray.
+    in integers (:func:`crossing_rays`, :func:`keep_side`) on the zero sets
+    the cone's `facet_rays` give: it needs the cone's rays to be exactly its
+    extreme rays and its facets to be irredundant, which every cone this
+    engine makes satisfies, and `cut` to be primitive.  Each edge of the
+    cone that the cut crosses yields one new ray.  A facet survives on a
+    side when one of its rays lies strictly on that side.
     """
     products = [vdot(cut, r) for r in cone.rays]
     if not (any(p > 0 for p in products) and any(p < 0 for p in products)):
         return None
-    tight = [frozenset(i for i, n in enumerate(cone.halfspaces) if vdot(n, r) == 0)
-             for r in cone.rays]
-    new_rays = [r for r, _ in crossing_rays(cone.rays, tight, products, cone.dim)]
+    zero_sets = [frozenset(i for i, tight in enumerate(cone.facet_rays) if r in tight)
+                 for r in cone.rays]
+    crossings = crossing_rays(cone.rays, zero_sets, products, cone.dim)
+    row = len(cone.halfspaces)
+    sides = []
+    for sign in (-1, 1):
+        signed = [sign * p for p in products]
+        rays, tight = keep_side(cone.rays, zero_sets, signed, crossings, row)
+        normals = cone.halfspaces + ((cut if sign > 0 else vneg(cut)),)
+        kept = sorted({i for p, z in zip(signed, zero_sets) if p > 0 for i in z})
+        kept.append(row)
+        sides.append(Cone(tuple(rays), tuple(normals[i] for i in kept),
+                          tuple(tuple(sorted(r for r, z in zip(rays, tight) if i in z))
+                                for i in kept), cone.dim))
+    return sides[0], sides[1]
 
-    def side(sign: int) -> Cone:
-        rays = [r for r, p in zip(cone.rays, products) if sign * p >= 0] + new_rays
-        kept = {i for p, t in zip(products, tight) if sign * p > 0 for i in t}
-        facets = [n for i, n in enumerate(cone.halfspaces) if i in kept]
-        facets.append(cut if sign > 0 else vneg(cut))
-        return Cone(tuple(rays), tuple(facets), cone.dim)
 
-    return side(-1), side(1)
-
-
-def _refine(cones, cut: IntVec) -> tuple[list[Cone], bool]:
-    """Split every cone that `cut` passes through; also report whether any
-    cone was split."""
+def _refine(cones, cut: IntVec) -> list[Cone]:
+    """Split every cone that `cut` passes through."""
     refined: list[Cone] = []
-    split_any = False
     for cone in cones:
-        split = _split_cone(cone, cut)
-        if split is None:
-            refined.append(cone)
-        else:
-            refined.extend(split)
-            split_any = True
-    return refined, split_any
+        refined.extend(_split_cone(cone, cut) or (cone,))
+    return refined
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +254,13 @@ def sort_rays(rays, dim: int) -> list[IntVec]:
 
 
 def _sort_cones(cones, dim: int) -> list[Cone]:
+    """The cones made canonical (:func:`_canonical_cone`), in order: planar
+    ones by their counterclockwise start ray, which comes first."""
+    cones = [_canonical_cone(c, dim) for c in cones]
     if dim == 2:
-        def start_ray(cone: Cone) -> IntVec:
-            a, b = cone.rays
-            cross = a[0] * b[1] - a[1] * b[0]
-            return a if cross > 0 else b
         return sorted(cones, key=cmp_to_key(
-            lambda c1, c2: _ray_cmp_2d(start_ray(c1), start_ray(c2))))
-    return sorted(cones, key=lambda c: tuple(sorted(c.rays)))
+            lambda c1, c2: _ray_cmp_2d(c1.rays[0], c2.rays[0])))
+    return sorted(cones, key=lambda c: c.rays)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +272,7 @@ def _facet_incidence(cones) -> dict[tuple[IntVec, ...], list[tuple[int, IntVec]]
     the (cone index, inward normal) of every cone it bounds."""
     incidence: dict[tuple[IntVec, ...], list[tuple[int, IntVec]]] = {}
     for idx, cone in enumerate(cones):
-        for n in cone.halfspaces:
-            tight = tuple(sorted(r for r in cone.rays if vdot(n, r) == 0))
+        for n, tight in zip(cone.halfspaces, cone.facet_rays):
             incidence.setdefault(tight, []).append((idx, n))
     return incidence
 
@@ -295,9 +303,8 @@ def _walls_from_cones(cones, dim: int, provenance) -> tuple[Wall, ...]:
             continue
         normal = sign_canonical(incident[0][1])
         kind, neurons = provenance.get(normal, (UNKNOWN, ()))
-        generators = tuple(sort_rays(tight, dim)) if dim == 2 else tight
         indices = sorted(idx for idx, _ in incident)
-        walls.append(Wall(generators, tuple(indices), normal, kind, neurons))
+        walls.append(Wall(tight, tuple(indices), normal, kind, neurons))
     if dim == 2:
         walls.sort(key=cmp_to_key(
             lambda w1, w2: _ray_cmp_2d(w1.generators[0], w2.generators[0])))
@@ -313,11 +320,12 @@ def _canonical_cone(cone: Cone, dim: int) -> Cone:
         rays = (a, b) if cross > 0 else (b, a)
     else:
         rays = tuple(sorted(cone.rays))
-    return Cone(rays, tuple(sorted(cone.halfspaces)), dim)
+    facets = sorted(zip(cone.halfspaces, cone.facet_rays))
+    return Cone(rays, tuple(n for n, _ in facets), tuple(t for _, t in facets), dim)
 
 
 def _assemble_fan(cones, dim: int, hyperplanes, bent_cuts=()) -> Fan:
-    cones = _sort_cones([_canonical_cone(c, dim) for c in cones], dim)
+    cones = _sort_cones(cones, dim)
     rays = sort_rays({r for c in cones for r in c.rays}, dim)
     provenance: dict[IntVec, tuple[str, tuple]] = {}
     for normal, tag in bent_cuts:
@@ -332,19 +340,25 @@ def _assemble_fan(cones, dim: int, hyperplanes, bent_cuts=()) -> Fan:
 
 
 def central_fan(hyperplanes, dim: int) -> Fan:
-    """Fan of a central hyperplane arrangement, cells built by splitting.
+    """Fan of a central hyperplane arrangement: the assembly of its cells
+    (:func:`_arrangement_cells`)."""
+    merged = merge_hyperplanes(hyperplanes)
+    return _assemble_fan(_arrangement_cells(merged, dim), dim, merged)
+
+
+def _arrangement_cells(merged, dim: int) -> list[Cone]:
+    """Maximal cones of the arrangement of the merged hyperplanes, built by
+    splitting; :func:`_sort_cones` puts them in canonical order.
 
     The first d independent normals, in the given order, cut space into 2^d
-    simplicial cells; every cell is then split by each remaining normal.
-    Raises NotEssential when the normals do not span the ambient space (the
-    complex then has a lineality space and is only a generalized fan).
+    simplicial cells; ray i of a cell lies on each of its facets but the
+    i-th.  Every cell is then split by each remaining normal.  Raises
+    NotEssential when the normals do not span the ambient space (the complex
+    then has a lineality space and is only a generalized fan).
     """
     if dim < 2:
         raise UnsupportedDimension(
             f"central fans need ambient dimension >= 2, got {dim}")
-    merged = merge_hyperplanes(hyperplanes)
-    if not merged:
-        raise NotEssential("no hyperplanes given")
     normals = [h.normal for h in merged]
     chosen = independent_rows(normals)
     basis = [normals[i] for i in chosen]
@@ -356,26 +370,32 @@ def central_fan(hyperplanes, dim: int) -> Fan:
     for i, n in enumerate(basis):
         k = integer_kernel_direction(basis[:i] + basis[i + 1:])
         kernel.append(k if vdot(n, k) > 0 else vneg(k))
-    cones = [Cone(tuple(k if s > 0 else vneg(k) for s, k in zip(signs, kernel)),
-                  tuple(n if s > 0 else vneg(n) for s, n in zip(signs, basis)), dim)
-             for signs in itertools.product((1, -1), repeat=dim)]
+    cones = []
+    for signs in itertools.product((1, -1), repeat=dim):
+        rays = tuple(k if s > 0 else vneg(k) for s, k in zip(signs, kernel))
+        halfspaces = tuple(n if s > 0 else vneg(n) for s, n in zip(signs, basis))
+        facet_rays = tuple(tuple(sorted(rays[:i] + rays[i + 1:])) for i in range(dim))
+        cones.append(Cone(rays, halfspaces, facet_rays, dim))
     for cut in rest:
-        cones, _ = _refine(cones, cut)
-    return _assemble_fan(cones, dim, merged)
+        cones = _refine(cones, cut)
+    return cones
+
+
+def _augmented(hyperplanes, dim: int) -> tuple[Hyperplane, ...]:
+    """The hyperplanes merged, with synthetic coordinate hyperplanes added
+    when they are not essential (those carry zero bend by construction)."""
+    merged = merge_hyperplanes(hyperplanes)
+    if mat_rank([h.normal for h in merged]) < dim:
+        coords = [Hyperplane(tuple(1 if j == i else 0 for j in range(dim)), SYNTHETIC)
+                  for i in range(dim)]
+        merged = merge_hyperplanes(list(merged) + coords)
+    return merged
 
 
 def augmented_central_fan(hyperplanes, dim: int) -> Fan:
     """central_fan, adding synthetic coordinate hyperplanes whenever the
-    arrangement is not essential (they carry zero bend by construction)."""
-    merged = merge_hyperplanes(hyperplanes)
-    normals = [h.normal for h in merged]
-    if not merged or mat_rank(normals) < dim:
-        coords = []
-        for i in range(dim):
-            e = tuple(1 if j == i else 0 for j in range(dim))
-            coords.append(Hyperplane(e, SYNTHETIC))
-        merged = merge_hyperplanes(list(merged) + coords)
-    return central_fan(merged, dim)
+    arrangement is not essential."""
+    return central_fan(_augmented(hyperplanes, dim), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +415,24 @@ def layer_one_hyperplanes(net: ValidatedNetwork) -> tuple[Hyperplane, ...]:
 def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fan:
     """Canonical polyhedral complex of an unbiased network, as a fan.
 
-    Starts from the central fan of the first layer (synthetically augmented
-    with coordinate hyperplanes when not essential), then refines cone by
-    cone along the zero sets of the composed (cone-linear) functionals of
-    each deeper hidden layer.  The output layer never refines.  The
+    Starts from the cells of the first layer's arrangement (synthetically
+    augmented with coordinate hyperplanes when not essential), in their
+    canonical order, then refines cone by cone along the zero sets of the
+    composed (cone-linear) functionals of each deeper hidden layer, and
+    assembles the fan once.  The output layer never refines.  The
     compositions and sign tests run on `cleared_layers(net)`: a positive
     multiple of a functional has the same signs and the same primitive cut.
     """
     if not net.is_unbiased:
         raise Biased("the toric pipeline requires an unbiased network")
     dim = net.input_dim
-    planes = layer_one_hyperplanes(net)
-    base = augmented_central_fan(planes, dim)
-    planes = base.hyperplanes
+    planes = _augmented(layer_one_hyperplanes(net), dim)
+    cones = _sort_cones(_arrangement_cells(planes, dim), dim)
     layers, _ = cleared_layers(net)
 
-    cones = list(base.maximal_cones)
-    prefix = [_first_layer_matrix(layers[0], cone) for cone in cones]
+    prefix = [_activated(layers[0], cone) for cone in cones]
     bent_cuts: list[tuple[IntVec, tuple[int, int]]] = []
-    k = net.hidden_layers
-    zero = (0,) * dim
-    for layer in range(2, k + 1):
+    for layer in range(2, net.hidden_layers + 1):
         rows = layers[layer - 1]
         next_cones: list[Cone] = []
         next_prefix = []
@@ -429,25 +446,23 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                             f"neuron ({layer},{j}) is identically zero on a cone")
                     continue
                 cut = rational_to_primitive(phi)
-                pieces, bent = _refine(pieces, cut)
-                if bent:
+                refined = _refine(pieces, cut)
+                if len(refined) > len(pieces):
                     bent_cuts.append((sign_canonical(cut), (layer, j)))
-            for piece in pieces:
-                probe = piece.interior_point()
-                next_cones.append(piece)
-                next_prefix.append(tuple(phi if vdot(phi, probe) > 0 else zero
-                                         for phi in functionals))
+                pieces = refined
+            next_cones.extend(pieces)
+            next_prefix.extend(_activated(functionals, piece) for piece in pieces)
         cones = next_cones
         prefix = next_prefix
     return _assemble_fan(cones, dim, planes, bent_cuts)
 
 
-def _first_layer_matrix(rows, cone: Cone):
-    """Linear map computed by ReLU . L1 on a maximal cone of the layer-one
-    arrangement, for the cleared first-layer rows."""
+def _activated(functionals, cone: Cone):
+    """Linear map computed by ReLU . L on a cone where each row of L is a
+    linear functional of fixed sign: the positive rows, the others zero."""
     probe = cone.interior_point()
     zero = (0,) * cone.dim
-    return tuple(row if vdot(row, probe) > 0 else zero for row in rows)
+    return tuple(phi if vdot(phi, probe) > 0 else zero for phi in functionals)
 
 
 def _compose(out_row, matrix, dim: int):

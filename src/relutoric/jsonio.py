@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DocumentError, UnsupportedDimension
-from .exact_math import RationalPolytope, frac, mat_rank, vdot
+from .exact_math import RationalPolytope, frac, mat_rank
 from .expressions import parse_and_compile
 from .divisor import SupportFunction, support_on_fan
 from .fan import Cone, Fan, _assemble_fan, cone_from_rays, validate_fan
@@ -163,15 +163,16 @@ def _documented_cones(doc) -> tuple[int, list[Cone]]:
 
 def _proper_cone(cone: Cone, k: int) -> Cone:
     """The documented cone k, which must be full-dimensional and strongly
-    convex and list only extreme rays: a ray is extreme when its tight
-    facets span a hyperplane."""
+    convex and list only extreme rays: a ray is extreme when the facets it
+    lies on span a hyperplane."""
     dim = cone.dim
     if mat_rank(cone.rays) < dim:
         raise DocumentError(f"cone {k} is not full-dimensional")
     if mat_rank(cone.halfspaces) < dim:
         raise DocumentError(f"cone {k} contains a line")
     for r in cone.rays:
-        if mat_rank([n for n in cone.halfspaces if vdot(n, r) == 0]) < dim - 1:
+        if mat_rank([n for n, tight in zip(cone.halfspaces, cone.facet_rays)
+                     if r in tight]) < dim - 1:
             raise DocumentError(f"cone {k} lists ray {list(r)}, which is not extreme")
     return cone
 
@@ -197,17 +198,12 @@ def decode_support(doc) -> SupportFunction:
     slope_docs = doc.get("slopes")
     if not isinstance(slope_docs, list) or len(slope_docs) != len(fan.maximal_cones):
         raise DocumentError("need one slope vector per maximal cone")
-    # Hand-given cones may be listed in any order; match by containment of
-    # each canonical cone's interior point in the documented cone.
-    slopes = []
-    for cone in fan.maximal_cones:
-        probe = cone.interior_point()
-        position = next((i for i, d in enumerate(documented) if d.contains(probe)),
-                        None)
-        if position is None:
-            raise DocumentError("documented cones do not cover the fan")
-        slopes.append(decode_vector(slope_docs[position]))
-    return support_on_fan(fan, slopes)
+    # Hand-given cones may be listed in any order, each with its rays in any
+    # order; a documented cone has the sorted primitive rays of the
+    # assembled cone it becomes, and a valid fan lists no cone twice.
+    position = {d.rays: i for i, d in enumerate(documented)}
+    return support_on_fan(fan, [decode_vector(slope_docs[position[tuple(sorted(c.rays))]])
+                                for c in fan.maximal_cones])
 
 
 def decode_function(doc) -> SupportFunction:

@@ -297,6 +297,21 @@ class TestFunctionDocuments:
         code, _ = run(capsys, tmp_path, "divisor", {"nonsense": 1})
         assert code == 2
 
+    def test_cone_and_ray_order_do_not_matter(self, capsys, tmp_path):
+        # max{0, x, y}; each slope follows its cone
+        rays = [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]]
+        cones = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]
+        slopes = [[1, 0], [0, 1], [0, 1], [0, 0], [1, 0]]
+        ordered = {"dim": 2, "fan": {"dim": 2, "rays": rays, "cones": cones},
+                   "slopes": slopes}
+        reversed_doc = {"dim": 2, "fan": {"dim": 2, "rays": rays,
+                                          "cones": [c[::-1] for c in cones[::-1]]},
+                        "slopes": slopes[::-1]}
+        code, expected = run(capsys, tmp_path, "divisor", ordered)
+        assert code == 0
+        assert run(capsys, tmp_path, "divisor", reversed_doc) == (0, expected)
+        assert json.loads(expected)["slopes"] == slopes
+
 
 class TestTextFormat:
     def test_text_output(self, capsys, tmp_path):
@@ -457,6 +472,20 @@ class TestInputBoundary:
         code, err = run_error(capsys, tmp_path, "eval", dict(GOLDEN_DOC, points=5))
         assert code == 2
         assert err.startswith("error: eval needs a nonempty 'points' list")
+
+    @pytest.mark.parametrize("command", ["fan", "divisor", "intersect", "classify",
+                                         "polytope", "newton", "volume", "realize",
+                                         "render"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_slopes_of_the_wrong_length(self, capsys, tmp_path, command, length):
+        # vdot zips to the shorter vector, so these used to end in a
+        # traceback, or in a report of slopes that do not fit the fan
+        doc = {"dim": 2, "fan": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                 "cones": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+               "slopes": [[1] * length] * 4}
+        code, err = run_error(capsys, tmp_path, command, doc)
+        assert code == 2
+        assert err.startswith(f"error: a slope has {length} entries, expected 2")
 
     def test_non_string_expression(self, capsys, tmp_path):
         code, err = run_error(capsys, tmp_path, "realize", {"dim": 2, "expr": 5})

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -9,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relutoric.divisor import extract_support, intersection_number
 from relutoric.errors import Biased, NotEssential
+from relutoric import fan as fan_module
 from relutoric.exact_math import (
+    crossing_rays,
     int_det,
     integer_kernel_direction,
     kernel_normal,
@@ -27,20 +30,24 @@ from relutoric.fan import (
     SYNTHETIC,
     Cone,
     Fan,
+    _activated,
     _assemble_fan,
+    _compose,
     _split_cone,
+    augmented_central_fan,
     build_relu_fan,
     central_fan,
     cone_containing,
     cone_from_rays,
     hyperplane,
+    layer_one_hyperplanes,
     merge_hyperplanes,
     sort_rays,
     validate_fan,
     wall_groups,
 )
 from relutoric.jsonio import decode_fan, encode_fan
-from relutoric.network import NeuronId, evaluate, network, neuron_value
+from relutoric.network import NeuronId, cleared_layers, evaluate, network, neuron_value
 from conftest import bend_oracle, rand_point, rand_rational, random_nets
 
 GOLDEN_RAYS = ((1, 0), (1, 1), (-1, 0), (-1, -1), (0, -1))
@@ -486,6 +493,79 @@ class TestRefinementSoundness:
 
 
 # ---------------------------------------------------------------------------
+# the facet record against the pairing it replaced
+# ---------------------------------------------------------------------------
+
+# Reference: each facet's rays found by pairing its normal with every ray of
+# the cone, the cone split on zero sets found the same way, and the ReLU fan
+# refined from the cones of a whole assembled layer-one fan.
+
+def pairing_record(rays, halfspaces):
+    """The sorted rays on each facet, by pairing its normal with every ray."""
+    return tuple(tuple(sorted(r for r in rays if vdot(n, r) == 0)) for n in halfspaces)
+
+
+def paired_cone(rays, halfspaces, dim):
+    """A hand-built cone whose facet record comes from the pairing."""
+    return Cone(rays, halfspaces, pairing_record(rays, halfspaces), dim)
+
+
+def reference_facet_incidence(cones):
+    incidence = {}
+    for idx, cone in enumerate(cones):
+        for n in cone.halfspaces:
+            tight = tuple(sorted(r for r in cone.rays if vdot(n, r) == 0))
+            incidence.setdefault(tight, []).append((idx, n))
+    return incidence
+
+
+def reference_split_cone(cone, cut):
+    products = [vdot(cut, r) for r in cone.rays]
+    if not (any(p > 0 for p in products) and any(p < 0 for p in products)):
+        return None
+    tight = [frozenset(i for i, n in enumerate(cone.halfspaces) if vdot(n, r) == 0)
+             for r in cone.rays]
+    new_rays = [r for r, _ in crossing_rays(cone.rays, tight, products, cone.dim)]
+
+    def side(sign):
+        rays = [r for r, p in zip(cone.rays, products) if sign * p >= 0] + new_rays
+        kept = {i for p, t in zip(products, tight) if sign * p > 0 for i in t}
+        facets = [n for i, n in enumerate(cone.halfspaces) if i in kept]
+        facets.append(cut if sign > 0 else vneg(cut))
+        return paired_cone(tuple(rays), tuple(facets), cone.dim)
+
+    return side(-1), side(1)
+
+
+def reference_build_relu_fan(net):
+    """The whole layer-one fan assembled, walls and all, then its cones
+    refined by the pairing split and the fan assembled again."""
+    dim = net.input_dim
+    base = augmented_central_fan(layer_one_hyperplanes(net), dim)
+    layers, _ = cleared_layers(net)
+    cones = list(base.maximal_cones)
+    prefix = [_activated(layers[0], cone) for cone in cones]
+    bent_cuts = []
+    for layer in range(2, net.hidden_layers + 1):
+        next_cones, next_prefix = [], []
+        for cone, w in zip(cones, prefix):
+            functionals = [_compose(row, w, dim) for row in layers[layer - 1]]
+            pieces = [cone]
+            for j, phi in enumerate(functionals, start=1):
+                if any(phi):
+                    cut = rational_to_primitive(phi)
+                    split = [reference_split_cone(piece, cut) for piece in pieces]
+                    if any(split):
+                        bent_cuts.append((sign_canonical(cut), (layer, j)))
+                    pieces = [q for piece, halves in zip(pieces, split)
+                              for q in (halves or (piece,))]
+            next_cones.extend(pieces)
+            next_prefix.extend(_activated(functionals, piece) for piece in pieces)
+        cones, prefix = next_cones, next_prefix
+    return _assemble_fan(cones, dim, base.hyperplanes, bent_cuts)
+
+
+# ---------------------------------------------------------------------------
 # the cell-splitting engine against the enumerators it replaced
 # ---------------------------------------------------------------------------
 
@@ -520,7 +600,7 @@ def _planar_cells(rays):
         nb = rot(b)
         if vdot(nb, a) < 0:
             nb = vneg(nb)
-        cones.append(Cone((a, b), tuple(sorted({na, nb})), 2))
+        cones.append(paired_cone((a, b), tuple(sorted({na, nb})), 2))
     return cones
 
 
@@ -565,8 +645,8 @@ def _cells_by_sign_vector(normals, rays, dim):
         if any(s * vdot(n, probe) <= 0 for s, n in zip(signs, normals)):
             continue
         oriented = [n if s > 0 else vneg(n) for s, n in zip(signs, normals)]
-        cones.append(Cone(tuple(sorted(members)),
-                          _facet_normals(members, oriented, dim), dim))
+        cones.append(paired_cone(tuple(sorted(members)),
+                                 _facet_normals(members, oriented, dim), dim))
     return cones
 
 
@@ -713,3 +793,74 @@ class TestConeFacetsAgainstReference:
         assert cone.contains((1, 2, 0))
         assert not cone.contains((1, 2, 1))
         assert not cone.contains((-1, 2, 0))
+
+
+class TestFacetRecordAgainstPairing:
+    def _assert_paired(self, cones):
+        for cone in cones:
+            assert cone.facet_rays == pairing_record(cone.rays, cone.halfspaces)
+        assert fan_module._facet_incidence(cones) == reference_facet_incidence(cones)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_sets())
+    def test_cone_from_rays(self, generators):
+        dim, rays = generators
+        self._assert_paired([cone_from_rays(rays, dim)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrangements())
+    def test_central_fans(self, arrangement):
+        dim, normals = arrangement
+        try:
+            fan = central_fan([hyperplane(n) for n in normals], dim)
+        except NotEssential:
+            return
+        self._assert_paired(fan.maximal_cones)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrangements(), st.data())
+    def test_split_matches_the_pairing_split(self, arrangement, data):
+        dim, normals = arrangement
+        try:
+            fan = central_fan([hyperplane(n) for n in normals], dim)
+        except NotEssential:
+            return
+        cut = rational_to_primitive(data.draw(
+            st.tuples(*[st.integers(-3, 3)] * dim).filter(any), label="cut"))
+        for cone in fan.maximal_cones:
+            assert _split_cone(cone, cut) == reference_split_cone(cone, cut)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_nets(max_dim=4, max_width=3))
+    def test_relu_fans_match_the_assemble_then_refine_route(self, net):
+        fan = build_relu_fan(net)
+        self._assert_paired(fan.maximal_cones)
+        expected = reference_build_relu_fan(net)
+        assert json.dumps(encode_fan(fan)) == json.dumps(encode_fan(expected))
+        assert fan == expected
+
+    def test_bent_provenance_follows_the_canonical_cell_order(self):
+        # the cut x + y = 0 comes from neuron (2, 1) in the second quadrant
+        # and from (2, 2) in the fourth; the seed cells list the fourth
+        # quadrant before the second, the canonical order after it
+        net = network([[[1, 0], [0, 1], [-1, 0], [0, -1]],
+                       [[0, 1, -1, 0], [1, 0, 0, -1]], [[1, 1]]])
+        fan = build_relu_fan(net)
+        assert {w.neurons for w in fan.walls if w.kind == BENT} == {((2, 1), (2, 2))}
+        assert fan == reference_build_relu_fan(net)
+
+    def test_relu_fan_assembled_once(self, monkeypatch, golden_net):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return _assemble_fan(*args, **kwargs)
+
+        monkeypatch.setattr(fan_module, "_assemble_fan", counted)
+        deep = network([[[1, 0, 2], [0, 1, -1], [1, 1, 1]], [[1, -1, 1], [2, 1, -1]],
+                        [[1, 1]]])
+        for net in (golden_net, deep, network([[[1, 2]], [[1]]])):
+            calls.clear()
+            fan = build_relu_fan(net)
+            assert len(calls) == 1
+            assert len(calls[0]) == len(fan.maximal_cones)

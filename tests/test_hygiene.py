@@ -11,6 +11,9 @@
   `intersect`: only `cli._cmd_intersect` uses `wall_curve`, and only
   `wall_curve` uses `pairing_one_solution`.  Wall numbers come from slope
   jumps (`divisor.intersection_number`).
+- One double description step: the cut step (`crossing_rays` and
+  `keep_side`) is used by `exact_math.double_description` and
+  `fan._split_cone` and nowhere else.
 """
 
 from __future__ import annotations
@@ -105,12 +108,26 @@ SOLE_USER = {
     "pairing_one_solution": "divisor.wall_curve",
 }
 
+# the cut step of the double description -> the places allowed to use it
+CUT_STEP_USERS = {
+    name: {"exact_math.double_description", "fan._split_cone"}
+    for name in ("crossing_rays", "keep_side")
+}
+
+
+def users(name: str) -> set[str]:
+    return {f"{path.stem}.{scope}" for path in SOURCES
+            for scope, _ in name_uses(_tree(path), name)}
+
 
 @pytest.mark.parametrize("name", sorted(SOLE_USER))
 def test_lattice_lift_has_one_user(name):
-    users = {f"{path.stem}.{scope}" for path in SOURCES
-             for scope, _ in name_uses(_tree(path), name)}
-    assert users == {SOLE_USER[name]}
+    assert users(name) == {SOLE_USER[name]}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_STEP_USERS))
+def test_cut_step_has_two_users(name):
+    assert users(name) == CUT_STEP_USERS[name]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
