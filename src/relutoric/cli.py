@@ -358,11 +358,17 @@ def _inline(value) -> str:
 
 
 def _emit(job: JobSpec, result: JobResult) -> None:
+    """Write the report, the SVG or both where the job asks.  A report that
+    cannot be encoded (an integer past the interpreter's digit limit,
+    `sys.get_int_max_str_digits`) is a DocumentError and is not written."""
     if result.svg is not None and job.svg:
         Path(job.svg).write_text(result.svg)
     if result.payload is not None:
-        text = (json.dumps(result.payload, indent=2) + "\n"
-                if job.fmt == "json" else to_text(result.payload) + "\n")
+        try:
+            text = (json.dumps(result.payload, indent=2) + "\n"
+                    if job.fmt == "json" else to_text(result.payload) + "\n")
+        except ValueError as exc:
+            raise DocumentError(f"cannot write the report: {exc}") from None
         if job.output:
             Path(job.output).write_text(text)
         else:
@@ -372,6 +378,17 @@ def _emit(job: JobSpec, result: JobResult) -> None:
             Path(job.output).write_text(result.svg)
         else:
             sys.stdout.write(result.svg)
+
+
+def _read_json(path) -> object:
+    """The JSON document in the file at `path`, or on stdin without a path.
+    Text that json cannot read (malformed, not UTF-8, nested past its
+    recursion limit, or with a number past the interpreter's digit limit)
+    is a DocumentError."""
+    try:
+        return json.loads(Path(path).read_text() if path else sys.stdin.read())
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def _run_batch(directory: str, fmt: str) -> int:
@@ -386,13 +403,14 @@ def _run_batch(directory: str, fmt: str) -> int:
     criterion_failed = False
     for path in files:
         try:
-            doc = json.loads(path.read_text())
+            doc = _read_json(path)
             if not isinstance(doc, dict) or not isinstance(doc.get("flags", {}), dict):
                 raise DocumentError("a job document is an object with an object of 'flags'")
             flags = doc.get("flags", {})
             job = JobSpec(
                 command=doc.get("command", ""),
                 document=doc.get("input", {}),
+                output=str(path.with_name(path.stem + ".out.json")),
                 fmt=fmt,
                 m_max=decode_int(flags.get("m_max", 8), "m_max"),
                 negate=decode_bool(flags.get("negate", False), "negate"),
@@ -402,12 +420,8 @@ def _run_batch(directory: str, fmt: str) -> int:
             )
             result = run_job(job)
             criterion_failed |= result.exit_code == 3
-            if result.svg is not None:
-                path.with_suffix(".svg").write_text(result.svg)
-            if result.payload is not None:
-                out = path.with_name(path.stem + ".out.json")
-                out.write_text(json.dumps(result.payload, indent=2) + "\n")
-        except (RelutoricError, json.JSONDecodeError, OSError) as exc:
+            _emit(job, result)
+        except (RelutoricError, OSError) as exc:
             failures += 1
             print(f"{path.name}: {exc}", file=sys.stderr)
     return 2 if failures else 3 if criterion_failed else 0
@@ -452,11 +466,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.input:
-            document = json.loads(Path(args.input).read_text())
-        else:
-            document = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+        document = _read_json(args.input)
+    except (OSError, DocumentError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     job = JobSpec(
@@ -471,10 +482,10 @@ def main(argv=None) -> int:
     )
     try:
         result = run_job(job)
+        _emit(job, result)
     except RelutoricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(job, result)
     return result.exit_code
 
 

@@ -241,6 +241,16 @@ def integer_kernel_direction(rows) -> IntVec:
     return prim
 
 
+def simplicial_rays(rows) -> list[IntVec]:
+    """Rays of the simplicial cone {y : <row, y> >= 0} of n independent integer
+    rows in R^n: ray i spans the kernel of the others, positive on row i."""
+    rays = []
+    for i, row in enumerate(rows):
+        ray = integer_kernel_direction(rows[:i] + rows[i + 1:])
+        rays.append(ray if vdot(row, ray) > 0 else vneg(ray))
+    return rays
+
+
 def kernel_normal(generators, dim: int | None = None) -> IntVec:
     """Primitive covector vanishing on all generators, spanning their
     annihilator; sign-canonical (first nonzero coordinate positive).
@@ -371,13 +381,8 @@ def double_description(rows, dim: int) -> tuple[list[IntVec], list[frozenset], s
     basis = independent_rows(rows)
     if len(basis) < dim:
         raise RankDeficient(f"rows span rank {len(basis)} < {dim}; the cone has lineality")
-    rays: list[IntVec] = []
-    zero_sets: list[frozenset] = []
-    for i in basis:
-        others = [j for j in basis if j != i]
-        ray = integer_kernel_direction([rows[j] for j in others])
-        rays.append(ray if vdot(rows[i], ray) > 0 else vneg(ray))
-        zero_sets.append(frozenset(others))
+    rays = simplicial_rays([rows[i] for i in basis])
+    zero_sets = [frozenset(j for j in basis if j != i) for i in basis]
     facets = set(basis)
     in_basis = set(basis)
     for j, row in enumerate(rows):

@@ -10,7 +10,9 @@ Grammar (whitespace insensitive, rationals written p/q or as integers):
 
 min is canonicalized at parse time to -max(-...), so downstream code only
 ever sees max nodes.  Nonzero constants are rejected unless they cancel:
-the compiled function must be positively homogeneous.
+the compiled function must be positively homogeneous.  Past that check a
+node is known by its slopes, and compilation reads them in integers off
+one table, cleared by their common denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousConstant, ParseError, UnknownVariable
-from .exact_math import is_zero_vector, ratvec, vadd, vdot, vneg, vscale, vsub
+from .exact_math import (
+    common_integer_scale, is_zero_vector, ratvec, vadd, vdot, vneg, vscale, vsub)
 from .divisor import SupportFunction, support_on_fan
 from .fan import EXTENDED, Hyperplane, augmented_central_fan, hyperplane, merge_hyperplanes
 
@@ -62,10 +65,25 @@ Expr = Var | Const | Neg | Scale | Sum | Max
 # parsing
 # ---------------------------------------------------------------------------
 
+# Deepest nesting of max and min the parser accepts; the recursive passes
+# over a tree stay well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
+def _integer(digits: str, offset: int) -> int:
+    """A run of digits as an int; digits int() cannot read (more than the
+    interpreter's digit limit, or non-ASCII digits) are a ParseError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(offset, f"cannot read the {len(digits)}-digit number: {exc}") from None
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # max and min nodes open at the cursor
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -93,7 +111,7 @@ class _Lexer:
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "expected a number")
-        numerator = int(self.text[start:self.pos])
+        numerator = _integer(self.text[start:self.pos], start)
         save = self.pos
         if self.try_char("/"):
             self.skip_ws()
@@ -103,7 +121,7 @@ class _Lexer:
             if self.pos == dstart:
                 self.pos = save
                 return Fraction(numerator)
-            denominator = int(self.text[dstart:self.pos])
+            denominator = _integer(self.text[dstart:self.pos], dstart)
             if denominator == 0:
                 raise ParseError(dstart, "zero denominator")
             return Fraction(numerator, denominator)
@@ -176,16 +194,20 @@ def _parse_atom(lexer: _Lexer, dim: int) -> Expr:
     start = lexer.pos
     word = lexer.word()
     if word in ("max", "min"):
+        if lexer.depth == MAX_NESTING:
+            raise ParseError(start, f"max and min nested deeper than {MAX_NESTING}")
+        lexer.depth += 1
         lexer.expect("(")
         args = [_parse_expr(lexer, dim)]
         while lexer.try_char(","):
             args.append(_parse_expr(lexer, dim))
         lexer.expect(")")
+        lexer.depth -= 1
         if word == "max":
             return Max(tuple(args))
         return Neg(Max(tuple(Neg(a) for a in args)))
     if word.startswith("x") and word[1:].isdigit():
-        index = int(word[1:])
+        index = _integer(word[1:], start + 1)
         if not 1 <= index <= dim:
             raise UnknownVariable(f"{word} outside declared dimension {dim}")
         return Var(index)
@@ -286,9 +308,12 @@ def _node_forms(expr: Expr, dim: int, table: dict[int, set]) -> set:
     return forms
 
 
-def _check_homogeneous(expr: Expr, dim: int) -> dict[int, set]:
+def _check_homogeneous(expr: Expr, dim: int) -> tuple[dict[int, tuple], int]:
     """Reject a nonzero constant under a max or in the whole function, naming
-    the first met in pre-order; returns the forms table."""
+    the first met in pre-order.  Past the check every constant under a max
+    is 0, so a node is known by its slopes: returns the slope table, each
+    node's slopes in the order of its forms cleared to integers by their
+    common denominator, and that denominator."""
     forms = _forms_table(expr, dim)
     for node in _walk(expr):
         if isinstance(node, Max):
@@ -301,7 +326,9 @@ def _check_homogeneous(expr: Expr, dim: int) -> dict[int, set]:
         if const != 0:
             raise InhomogeneousConstant(
                 f"constant {const} breaks homogeneity")
-    return forms
+    cleared, denominator = common_integer_scale([s for own in forms.values() for s, _ in own])
+    rows = iter(cleared)
+    return {key: tuple(next(rows) for _ in own) for key, own in forms.items()}, denominator
 
 
 def _walk(expr: Expr):
@@ -322,20 +349,22 @@ def _walk(expr: Expr):
 # compilation to a support function
 # ---------------------------------------------------------------------------
 
-def candidate_hyperplanes(expr: Expr, dim: int, forms=None) -> tuple[Hyperplane, ...]:
-    """Pairwise differences of the possible linear forms of max arguments;
-    every locus where the compiled function can bend lies on one of these.
-    `forms` is the expression's forms table when the caller holds it."""
-    forms = _forms_table(expr, dim) if forms is None else forms
+def candidate_hyperplanes(expr: Expr, dim: int, table=None) -> tuple[Hyperplane, ...]:
+    """Pairwise differences of the possible slopes of max arguments; every
+    locus where the compiled function can bend lies on one of these.
+    `table` is the expression's cleared slope table when the caller holds
+    it; without it the homogeneity check runs first and raises
+    InhomogeneousConstant on an inhomogeneous tree."""
+    table = _check_homogeneous(expr, dim)[0] if table is None else table
     planes = []
     for node in _walk(expr):
         if not isinstance(node, Max):
             continue
-        form_sets = [forms[id(arg)] for arg in node.args]
-        for i in range(len(form_sets)):
-            for j in range(i + 1, len(form_sets)):
-                for si, _ in form_sets[i]:
-                    for sj, _ in form_sets[j]:
+        slope_sets = [table[id(arg)] for arg in node.args]
+        for i in range(len(slope_sets)):
+            for j in range(i + 1, len(slope_sets)):
+                for si in slope_sets[i]:
+                    for sj in slope_sets[j]:
                         diff = vsub(si, sj)
                         if not is_zero_vector(diff):
                             planes.append(hyperplane(diff, EXTENDED))
@@ -345,46 +374,40 @@ def candidate_hyperplanes(expr: Expr, dim: int, forms=None) -> tuple[Hyperplane,
 def compile_expression(expr: Expr, dim: int) -> SupportFunction:
     """Support function of a parsed expression: central fan of the candidate
     hyperplanes (synthetically augmented when rank-deficient), and on each
-    maximal cone the slope of the linear piece at its interior point.
+    maximal cone the slope of the linear piece at its interior point, read
+    in integers off the cleared slope table and divided by its denominator.
 
     A max node takes its first argmax.  Ties cannot change the slope:
-    `candidate_hyperplanes` holds the difference of every pair of forms two
+    `candidate_hyperplanes` holds the difference of every pair of slopes two
     arguments of a max can take, and each is a cut of the fan, so two
     arguments tied at an interior point of a cone agree on the whole cone
     and have equal slopes there.
     """
-    forms = _check_homogeneous(expr, dim)
-    fan = augmented_central_fan(candidate_hyperplanes(expr, dim, forms), dim)
-    return support_on_fan(fan, [_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
-                                for cone in fan.maximal_cones])
+    table, denominator = _check_homogeneous(expr, dim)
+    fan = augmented_central_fan(candidate_hyperplanes(expr, dim, table), dim)
+    return support_on_fan(fan, [
+        tuple(Fraction(x, denominator) for x in _slope(expr, cone.interior_point(), table))
+        for cone in fan.maximal_cones])
 
 
-def _value_and_slope(expr: Expr, point, dim: int, forms=None):
-    """Value at the point and slope of the linear piece chosen there; a node
-    with a single affine form in `forms` is read off it without recursing."""
-    forms = _forms_table(expr, dim) if forms is None else forms
-    own = forms[id(expr)]
+def _slope(expr: Expr, point, table):
+    """Cleared slope of the linear piece chosen at an integer point; a node
+    with a single slope in the table is read off it without recursing.  A
+    scaled slope is itself a cleared slope of its node, so dividing by the
+    coefficient's denominator is exact."""
+    own = table[id(expr)]
     if len(own) == 1:
-        (slope, const), = own
-        return vdot(slope, point) + const, slope
+        return own[0]
     if isinstance(expr, Neg):
-        value, slope = _value_and_slope(expr.arg, point, dim, forms)
-        return -value, vneg(slope)
+        return vneg(_slope(expr.arg, point, table))
     if isinstance(expr, Scale):
-        value, slope = _value_and_slope(expr.arg, point, dim, forms)
-        return expr.coeff * value, vscale(expr.coeff, slope)
+        p, q = expr.coeff.numerator, expr.coeff.denominator
+        return tuple(p * x // q for x in _slope(expr.arg, point, table))
     if isinstance(expr, Sum):
-        value, slope = 0, (0,) * dim
-        for term in expr.terms:
-            v, m = _value_and_slope(term, point, dim, forms)
-            value, slope = value + v, vadd(slope, m)
-        return value, slope
-    best = None  # a Max; every other node with several forms is handled above
-    for arg in expr.args:
-        value, slope = _value_and_slope(arg, point, dim, forms)
-        if best is None or value > best[0]:
-            best = value, slope
-    return best
+        return tuple(map(sum, zip(*(_slope(t, point, table) for t in expr.terms))))
+    # a Max, where every constant is 0: its first argmax at the point
+    return max((_slope(arg, point, table) for arg in expr.args),
+               key=lambda slope: vdot(slope, point))
 
 
 def parse_and_compile(text: str, dim: int) -> SupportFunction:

@@ -29,13 +29,13 @@ from .exact_math import (
     crossing_rays,
     double_description,
     independent_rows,
-    integer_kernel_direction,
     is_zero_vector,
     keep_side,
     mat_rank,
     nullspace_covectors,
     rational_to_primitive,
     sign_canonical,
+    simplicial_rays,
     vdot,
     vneg,
 )
@@ -366,10 +366,7 @@ def _arrangement_cells(merged, dim: int) -> list[Cone]:
     if len(basis) < dim:
         raise NotEssential(
             f"normals span rank {len(basis)} < {dim}; lineality remains")
-    kernel = []
-    for i, n in enumerate(basis):
-        k = integer_kernel_direction(basis[:i] + basis[i + 1:])
-        kernel.append(k if vdot(n, k) > 0 else vneg(k))
+    kernel = simplicial_rays(basis)
     cones = []
     for signs in itertools.product((1, -1), repeat=dim):
         rays = tuple(k if s > 0 else vneg(k) for s, k in zip(signs, kernel))

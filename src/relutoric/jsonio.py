@@ -1,7 +1,10 @@
 """JSON document encoding and decoding.
 
 Exactness forbids JSON floats: rationals travel as integers or as strings
-"p/q" with arbitrary precision.  All emitted dictionaries are built in a
+"p/q".  Their precision is arbitrary up to the interpreter's limit on the
+digits of an integer string (`sys.get_int_max_str_digits()`, 4300 by
+default): a longer number in a document cannot be read, and a report that
+would hold one is a DocumentError.  All emitted dictionaries are built in a
 fixed key order so serialized reports are byte-stable.
 """
 
@@ -21,7 +24,10 @@ def encode_rational(value: Fraction):
     value = frac(value)
     if value.denominator == 1:
         return int(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise DocumentError(f"cannot write the report: {exc}") from None
 
 
 def decode_rational(value) -> Fraction:

@@ -136,13 +136,7 @@ def _relu(v: RatVec) -> RatVec:
 
 def evaluate(net: ValidatedNetwork, x) -> Fraction:
     """Exact forward pass; no activation on the last layer."""
-    x = ratvec(x)
-    if len(x) != net.input_dim:
-        raise DimensionMismatch(f"point has dimension {len(x)}, expected {net.input_dim}")
-    for i in range(1, len(net.layers)):
-        x = _relu(_apply_layer(net, i, x))
-    out = _apply_layer(net, len(net.layers), x)
-    return frac(out[0])
+    return neuron_value(net, NeuronId(len(net.layers), 1), x)
 
 
 def cleared_layers(net: ValidatedNetwork) -> tuple[tuple[tuple[IntVec, ...], ...], int]:

@@ -621,3 +621,75 @@ class TestParserReuse:
         capsys.readouterr()
         code, payload = run_json(capsys, tmp_path, "volume", GOLDEN_DOC)
         assert (code, payload["line_bundle_volume"]) == (0, 1)
+
+
+NINES = "9" * 3000
+
+
+def run_text(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+class TestUnreadableAndUnwritable:
+    """Input past the parser's nesting bound, JSON past its recursion limit,
+    numbers past the interpreter's digit limit and reports that would hold
+    them end in exit 2 with one line, not a traceback."""
+
+    @pytest.mark.parametrize("argv, text, line", [
+        (["classify"], json.dumps({"dim": 2, "expr": "max(" * 400 + "x1, x2" + ")" * 400}),
+         "error: at offset 400: max and min nested deeper than 100"),
+        (["fan"], '{"layers": ' + "[" * 100000 + "]" * 100000 + "}",
+         "cannot read input: maximum recursion depth exceeded"),
+        (["classify"], json.dumps({"dim": 2, "expr": "max(x1, " + "9" * 5000 + "*x2)"}),
+         "error: at offset 8: cannot read the 5000-digit number: Exceeds the limit"),
+        (["classify"], json.dumps({"dim": 2, "expr": "max(x1, x" + "1" * 5000 + ")"}),
+         "error: at offset 9: cannot read the 5000-digit number: Exceeds the limit"),
+        (["classify"], json.dumps({"dim": 2, "expr": "max(x1, x²)"}),
+         "error: at offset 9: cannot read the 1-digit number: invalid literal"),
+        (["fan"], '{"layers": [[[' + "7" * 5000 + ", 1]], [[1]]]}",
+         "cannot read input: Exceeds the limit"),
+        (["divisor"], json.dumps({"dim": 2, "expr": f"{NINES}*max({NINES}*x1, x2)"}),
+         "error: cannot write the report: Exceeds the limit"),
+        (["divisor", "--format", "text"],
+         json.dumps({"dim": 2, "expr": f"{NINES}*max({NINES}*x1, x2)"}),
+         "error: cannot write the report: Exceeds the limit"),
+        (["divisor"], json.dumps({"dim": 2, "expr": f"1/{NINES}*max({NINES}*x1, 7/{NINES}*x2)"}),
+         "error: cannot write the report: Exceeds the limit"),
+    ], ids=["nested-max", "nested-json", "long-coefficient", "long-index", "unicode-index",
+            "long-json-number", "long-report-integer", "long-text-integer",
+            "long-report-rational"])
+    def test_exit_2_with_one_line(self, capsys, tmp_path, argv, text, line):
+        code, err = run_text(capsys, tmp_path, argv, text)
+        assert code == 2
+        assert err.startswith(line) and err.count("\n") == 1
+
+    def test_input_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'\xff{"dim": 2}')
+        assert main(["fan", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("cannot read input: 'utf-8' codec")
+
+    def test_batch_goes_on_after_an_unreadable_document(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "a.json").write_text(json.dumps(
+            {"command": "classify",
+             "input": {"dim": 2, "expr": "max(" * 400 + "x1, x2" + ")" * 400}}))
+        (jobs / "b.json").write_text(json.dumps(
+            {"command": "classify", "input": {"dim": 2, "expr": "max(x1, x2)"}}))
+        (jobs / "c.json").write_text(json.dumps(
+            {"command": "divisor",
+             "input": {"dim": 2, "expr": f"{NINES}*max({NINES}*x1, x2)"}}))
+        (jobs / "d.json").write_text('{"command": "fan", "input": '
+                                     + "[" * 100000 + "]" * 100000 + "}")
+        code = main(["--batch", str(jobs)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert [line.split(":")[0] for line in lines] == ["a.json", "c.json", "d.json"]
+        assert json.loads((jobs / "b.out.json").read_text())["concave"] is True
+        assert not (jobs / "c.out.json").exists()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from relutoric import expressions
 from relutoric.cli import main
 from relutoric.errors import InhomogeneousConstant, ParseError, UnknownVariable
-from relutoric.exact_math import vadd, vneg, vscale
+from relutoric.exact_math import is_zero_vector, vadd, vdot, vneg, vscale, vsub
 from relutoric.expressions import (
     Const,
     Max,
@@ -22,7 +22,8 @@ from relutoric.expressions import (
     parse_and_compile,
     parse_expression,
 )
-from relutoric.divisor import support_of_network
+from relutoric.divisor import support_of_network, support_on_fan
+from relutoric.fan import EXTENDED, augmented_central_fan, hyperplane, merge_hyperplanes
 from relutoric.network import network
 from relutoric.realizability import common_refinement
 from conftest import SIXPIECE_EXPR, SIXPIECE_SLOPES, expressions as expression_trees
@@ -176,6 +177,131 @@ class TestAffineFormsAgainstReference:
         parse_and_compile(SIXPIECE_EXPR, 2)
         assert len(tables) == 1
         assert len(visits) == nodes
+
+
+def reference_value_and_slope(expr, point, dim: int, forms):
+    """The per-cone walk of compile_expression before the integer slope
+    table: value and slope in Fraction arithmetic, a node with a single
+    affine form in `forms` read off it, a max taking its first argmax."""
+    own = forms[id(expr)]
+    if len(own) == 1:
+        (slope, const), = own
+        return vdot(slope, point) + const, slope
+    if isinstance(expr, Neg):
+        value, slope = reference_value_and_slope(expr.arg, point, dim, forms)
+        return -value, vneg(slope)
+    if isinstance(expr, Scale):
+        value, slope = reference_value_and_slope(expr.arg, point, dim, forms)
+        return expr.coeff * value, vscale(expr.coeff, slope)
+    if isinstance(expr, Sum):
+        value, slope = 0, (0,) * dim
+        for term in expr.terms:
+            v, m = reference_value_and_slope(term, point, dim, forms)
+            value, slope = value + v, vadd(slope, m)
+        return value, slope
+    best = None
+    for arg in expr.args:
+        value, slope = reference_value_and_slope(arg, point, dim, forms)
+        if best is None or value > best[0]:
+            best = value, slope
+    return best
+
+
+def reference_candidate_hyperplanes(expr, dim: int, forms) -> tuple:
+    """candidate_hyperplanes before the integer slope table: differences of
+    the Fraction slopes of the forms table."""
+    planes = []
+    for node in expressions._walk(expr):
+        if not isinstance(node, Max):
+            continue
+        form_sets = [forms[id(arg)] for arg in node.args]
+        for i in range(len(form_sets)):
+            for j in range(i + 1, len(form_sets)):
+                for si, _ in form_sets[i]:
+                    for sj, _ in form_sets[j]:
+                        diff = vsub(si, sj)
+                        if not is_zero_vector(diff):
+                            planes.append(hyperplane(diff, EXTENDED))
+    return merge_hyperplanes(planes)
+
+
+def reference_compile(expr, dim: int):
+    forms = expressions._forms_table(expr, dim)
+    fan = augmented_central_fan(reference_candidate_hyperplanes(expr, dim, forms), dim)
+    return support_on_fan(fan, [
+        reference_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
+        for cone in fan.maximal_cones])
+
+
+def _homogeneous(expr, dim: int) -> bool:
+    try:
+        expressions._check_homogeneous(expr, dim)
+    except InhomogeneousConstant:
+        return False
+    return True
+
+
+# homogeneous trees: without constants, and with constants that cancel
+HOMOGENEOUS_TREES = st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st.one_of(
+    expression_trees(d),
+    expression_trees(d, constants=True).filter(lambda e: _homogeneous(e, d)))))
+
+
+class TestIntegerSlopesAgainstReference:
+    """The integer slope table gives the reports the Fraction walk gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(HOMOGENEOUS_TREES)
+    def test_slopes_on_every_cone(self, case):
+        dim, expr = case
+        support, reference = compile_expression(expr, dim), reference_compile(expr, dim)
+        assert support.fan.maximal_cones == reference.fan.maximal_cones
+        assert support.slopes == reference.slopes
+
+    @settings(max_examples=150, deadline=None)
+    @given(HOMOGENEOUS_TREES)
+    def test_candidate_hyperplanes_in_the_same_order(self, case):
+        dim, expr = case
+        forms = expressions._forms_table(expr, dim)
+        assert (expressions.candidate_hyperplanes(expr, dim)
+                == reference_candidate_hyperplanes(expr, dim, forms))
+
+    @pytest.mark.parametrize("text", [
+        "-2/3*max(3/2*x1, -x2)",
+        "1/2*max(1/3*max(x1, x2), x2) - 1/6*x1",
+        "max(x1, 0*max(x1, x2), -x2) + 0*min(x1, x2)",
+        "-3/4*max(2/3*x1 - 1/2*x2, 5/6*min(x1, -x2)) + 1/4*max(x1, x2)",
+    ])
+    def test_exact_division(self, text):
+        expr = parse_expression(text, 2)
+        support, reference = compile_expression(expr, 2), reference_compile(expr, 2)
+        assert support.fan.maximal_cones == reference.fan.maximal_cones
+        assert support.slopes == reference.slopes
+        for cone in support.fan.maximal_cones:
+            point = cone.interior_point()
+            assert support.value(point) == evaluate_expression(expr, point)
+
+    def test_without_a_table_checks_homogeneity(self):
+        with pytest.raises(InhomogeneousConstant):
+            expressions.candidate_hyperplanes(Max((Var(1), Const(F(1)))), 2)
+
+
+def nested(levels: int) -> str:
+    """`levels` max and min nodes, each inside the one before."""
+    text = "x1"
+    for level in range(levels):
+        text = f"max(x2, x1 - 2*{text})" if level % 2 else f"min(x1, {text})"
+    return text
+
+
+class TestNesting:
+    def test_deepest_nest_compiles(self):
+        support = parse_and_compile(nested(expressions.MAX_NESTING), 2)
+        assert support.slopes
+
+    def test_one_level_deeper_is_rejected(self):
+        with pytest.raises(ParseError, match="max and min nested deeper than 100"):
+            parse_expression(nested(expressions.MAX_NESTING + 1), 2)
 
 
 class TestRoundTrip:

@@ -14,6 +14,9 @@
 - One double description step: the cut step (`crossing_rays` and
   `keep_side`) is used by `exact_math.double_description` and
   `fan._split_cone` and nowhere else.
+- One simplicial seed: `integer_kernel_direction` is used only by
+  `exact_math.simplicial_rays`, which starts every double description and
+  every arrangement, and by `exact_math.kernel_normal`.
 """
 
 from __future__ import annotations
@@ -114,6 +117,9 @@ CUT_STEP_USERS = {
     for name in ("crossing_rays", "keep_side")
 }
 
+# the kernel of n - 1 integer rows -> the places allowed to use it
+KERNEL_USERS = {"exact_math.simplicial_rays", "exact_math.kernel_normal"}
+
 
 def users(name: str) -> set[str]:
     return {f"{path.stem}.{scope}" for path in SOURCES
@@ -128,6 +134,10 @@ def test_lattice_lift_has_one_user(name):
 @pytest.mark.parametrize("name", sorted(CUT_STEP_USERS))
 def test_cut_step_has_two_users(name):
     assert users(name) == CUT_STEP_USERS[name]
+
+
+def test_one_simplicial_seed():
+    assert users("integer_kernel_direction") == KERNEL_USERS
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -2,7 +2,7 @@
 
 `slopes_by_evaluation` samples each cone at `dim` interior points and solves
 for the slope from the values alone; it is the oracle here for the integer
-linear-piece path of `extract_support` and the value-and-slope walk of
+linear-piece path of `extract_support` and the integer slope walk of
 `compile_expression`.
 """
 
@@ -19,7 +19,8 @@ from relutoric.expressions import (
     Neg,
     Scale,
     Var,
-    _value_and_slope,
+    _check_homogeneous,
+    _slope,
     compile_expression,
     evaluate_expression,
     parse_expression,
@@ -117,5 +118,7 @@ class TestExpressionSlopes:
         _assert_expression_matches(expr, 2)
 
     def test_max_takes_its_first_argmax(self):
-        value, slope = _value_and_slope(Max((Var(1), Var(2))), (1, 1), 2)
-        assert (value, slope) == (1, (1, 0))
+        for args, slope in [((Var(1), Var(2)), (1, 0)), ((Var(2), Var(1)), (0, 1))]:
+            expr = Max(args)
+            table, _ = _check_homogeneous(expr, 2)
+            assert _slope(expr, (1, 1), table) == slope
