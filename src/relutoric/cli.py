@@ -2,9 +2,10 @@
 
 One JSON document per job, rationals as integers or "p/q" strings, reports
 with stable key order.  Results go to stdout or --output; diagnostics to
-stderr.  Exit codes: 0 success, 2 validation or parse error, 3 criterion
-failure under `realize --expect-realizable`.  A batch exits 2 when any
-document failed, else 3 when any job exited 3.
+stderr.  Exit codes: 0 success, 2 validation or parse error or an output
+that cannot be written, 3 criterion failure under `realize
+--expect-realizable`.  A batch exits 2 when any document failed, else 3
+when any job exited 3.
 
 One process builds the argument parser once, on its first `main` call;
 parsing keeps no state between calls.
@@ -362,22 +363,28 @@ def _emit(job: JobSpec, result: JobResult) -> None:
     cannot be encoded (an integer past the interpreter's digit limit,
     `sys.get_int_max_str_digits`) is a DocumentError and is not written."""
     if result.svg is not None and job.svg:
-        Path(job.svg).write_text(result.svg)
+        _write(job.svg, result.svg)
     if result.payload is not None:
         try:
             text = (json.dumps(result.payload, indent=2) + "\n"
                     if job.fmt == "json" else to_text(result.payload) + "\n")
         except ValueError as exc:
             raise DocumentError(f"cannot write the report: {exc}") from None
-        if job.output:
-            Path(job.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(job.output, text)
     elif result.svg is not None and not job.svg:
-        if job.output:
-            Path(job.output).write_text(result.svg)
-        else:
-            sys.stdout.write(result.svg)
+        _write(job.output, result.svg)
+
+
+def _write(path, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout without a path.  A
+    file that cannot be written is a DocumentError."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write output: {exc}") from None
 
 
 def _read_json(path) -> object:

@@ -7,13 +7,12 @@ reduces to the handful of primitives in this module, and none of them ever
 touches a float.
 
 The arithmetic runs on Python integers wherever it can.  Rank, pivot
-columns, the greedy basis of given rows, linear solves and kernels are all
-read off one fraction-free elimination (:func:`_echelon`): each row in turn
-is cleared of denominators once, reduced with integer row operations
-against the pivot rows before it and kept small by dividing out its gcd;
-only the back substitution over the at most n pivot rows uses Fractions.
-Determinants use Bareiss elimination, and hyperplane normals come from
-signed maximal minors.
+columns, the greedy basis of given rows, linear solves, kernels and
+determinants are all read off one fraction-free Bareiss elimination
+(:func:`_echelon`): each row in turn is cleared of denominators once and
+reduced against the pivot rows before it with exact integer divisions, so
+every entry stays a minor of the input.  Only the back substitution of a
+rational solve or covector uses Fractions.
 
 Every conversion between generators and inequalities — polytope hulls,
 section polytopes, the facets of a cone — is one integer double
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import floordiv, mul
 
 from .errors import RankDeficient, ZeroVector
 
@@ -120,39 +119,49 @@ def rational_to_primitive(v) -> IntVec:
 # ---------------------------------------------------------------------------
 
 def _echelon(rows) -> list[tuple[int, int, list[int]]]:
-    """Fraction-free row reduction, one row at a time, in order.
+    """Fraction-free row reduction (Bareiss), one row at a time, in order.
 
     Each row is scaled once to integers by the positive lcm of its
-    denominators and reduced with integer row operations against the pivot
-    rows kept so far, each of which owns the column of its first nonzero
-    entry.  A row with something left becomes a pivot row, divided by the
-    gcd of its entries so the numbers stay small; it is zero in every
-    earlier pivot column.  Returns (row index, pivot column, pivot row) for
-    each row that gave a pivot, in order.  The scan stops once the pivot
-    rows span every column.
+    denominators and reduced against the pivot rows kept so far, each of
+    which owns the column c of its first nonzero entry: against pivot row
+    b it becomes (b[c] * v - v[c] * b) / p, p the pivot entry of the pivot
+    row before b (1 for the first).  By Sylvester's identity, entry j is
+    then the minor of the scaled input on the rows of those pivots and its
+    own and on their pivot columns and column j, so every division is exact
+    and no entry outgrows a minor of the input.  A row with something left
+    becomes a pivot row, zero in every earlier pivot column.
+
+    Returns (row index, pivot column, pivot row) for each row that gave a
+    pivot, in order; the scan stops once the pivot rows span every column.
+    Its readers are :func:`mat_rank`, :func:`pivot_columns`,
+    :func:`independent_rows`, :func:`solve_exact`,
+    :func:`nullspace_covectors`, :func:`int_det` and
+    :func:`integer_kernel_direction`.
     """
     pivots: list[tuple[int, int, list[int]]] = []
     for i, row in enumerate(rows):
         v = list(clear_denominators(row)[0])
+        p = 1
         for _, col, b in pivots:
-            if v[col]:
-                v = [b[col] * x - v[col] * y for x, y in zip(v, b)]
+            bc, vc = b[col], v[col]
+            v = [(bc * x - vc * y) // p for x, y in zip(v, b)]
+            p = bc
         col = next((c for c, x in enumerate(v) if x), None)
         if col is not None:
-            g = gcd(*v)
-            pivots.append((i, col, [x // g for x in v]))
+            pivots.append((i, col, v))
             if len(pivots) == len(v):
                 break
     return pivots
 
 
-def _back_substitute(pivots, x: list) -> RatVec:
+def _back_substitute(pivots, x: list, divide=Fraction) -> tuple:
     """Complete `x`, whose free coordinates are already set, so that every
-    pivot row pairs with it to 0.  The newest pivot row goes first: each is
-    zero in the pivot columns of the rows before it."""
+    pivot row pairs with it to 0, dividing by each pivot entry with
+    `divide`.  The newest pivot row goes first: each is zero in the pivot
+    columns of the rows before it."""
     for _, col, row in reversed(pivots):
         rest = sum(row[j] * x[j] for j in range(col + 1, len(x)))
-        x[col] = Fraction(-rest, row[col])
+        x[col] = divide(-rest, row[col])
     return tuple(x)
 
 
@@ -200,44 +209,34 @@ def nullspace_covectors(rows, dim: int) -> list[RatVec]:
 
 
 def int_det(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction free)."""
-    mat = [list(map(int, row)) for row in rows]
-    n = len(mat)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if mat[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
+    """Determinant of a square integer matrix: the last pivot entry of
+    :func:`_echelon`, the leading minor in pivot-column order, signed by
+    the parity of that order; 0 when the rank is short, 1 when empty."""
+    rows = list(rows)
+    pivots = _echelon(rows)
+    if len(pivots) < len(rows):
+        return 0
+    cols = [col for _, col, _ in pivots]
+    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+    return (-1) ** inversions * (pivots[-1][2][cols[-1]] if pivots else 1)
 
 
 def integer_kernel_direction(rows) -> IntVec:
     """Primitive integer kernel vector of an (n-1) x n integer matrix.
 
-    Computed from signed maximal minors (the generalized cross product),
-    then gcd-normalized.  The sign is whatever the minors produce; callers
-    canonicalize as needed.
+    Back substitution over the :func:`_echelon` pivots with the free
+    coordinate set to the last pivot entry: that vector is, up to sign, the
+    one of signed maximal minors (Cramer's rule), so every division is
+    exact.  It is then gcd-normalized; callers canonicalize the sign.
     """
-    rows = [tuple(int(x) for x in r) for r in rows]
-    n = len(rows) + 1
-    coords = []
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rows]
-        coords.append((-1) ** j * int_det(minor))
-    if is_zero_vector(coords):
+    pivots = _echelon(rows)
+    if len(pivots) < len(rows):
         raise RankDeficient("rows do not span a hyperplane")
-    prim, _ = normalize_primitive(coords)
+    bound = {col for _, col, _ in pivots}
+    x = [0] * (len(rows) + 1)
+    free = next(c for c in range(len(x)) if c not in bound)
+    x[free] = pivots[-1][2][pivots[-1][1]] if pivots else 1
+    prim, _ = normalize_primitive(_back_substitute(pivots, x, floordiv))
     return prim
 
 

@@ -320,15 +320,23 @@ def _check_homogeneous(expr: Expr, dim: int) -> tuple[dict[int, tuple], int]:
             for arg in node.args:
                 for _, const in forms[id(arg)]:
                     if const != 0:
-                        raise InhomogeneousConstant(
-                            f"constant {const} inside max breaks homogeneity")
+                        raise _inhomogeneous(const, " inside max")
     for _, const in forms[id(expr)]:
         if const != 0:
-            raise InhomogeneousConstant(
-                f"constant {const} breaks homogeneity")
+            raise _inhomogeneous(const, "")
     cleared, denominator = common_integer_scale([s for own in forms.values() for s, _ in own])
     rows = iter(cleared)
     return {key: tuple(next(rows) for _ in own) for key, own in forms.items()}, denominator
+
+
+def _inhomogeneous(const: Fraction, where: str) -> InhomogeneousConstant:
+    """The error naming the offending constant, or naming no digits when
+    the constant is past the interpreter's digit limit for printing."""
+    try:
+        named = f"constant {const}"
+    except ValueError:
+        named = "a constant too long to print"
+    return InhomogeneousConstant(f"{named}{where} breaks homogeneity")
 
 
 def _walk(expr: Expr):

@@ -660,13 +660,28 @@ class TestUnreadableAndUnwritable:
          "error: cannot write the report: Exceeds the limit"),
         (["divisor"], json.dumps({"dim": 2, "expr": f"1/{NINES}*max({NINES}*x1, 7/{NINES}*x2)"}),
          "error: cannot write the report: Exceeds the limit"),
+        (["classify"], json.dumps({"dim": 2, "expr": f"max(x1, {NINES}*{NINES})"}),
+         "error: a constant too long to print inside max breaks homogeneity"),
+        (["classify"], json.dumps({"dim": 2, "expr": f"max(x1, x2) + {NINES}*{NINES}"}),
+         "error: a constant too long to print breaks homogeneity"),
     ], ids=["nested-max", "nested-json", "long-coefficient", "long-index", "unicode-index",
             "long-json-number", "long-report-integer", "long-text-integer",
-            "long-report-rational"])
+            "long-report-rational", "long-constant-inside-max", "long-constant"])
     def test_exit_2_with_one_line(self, capsys, tmp_path, argv, text, line):
         code, err = run_text(capsys, tmp_path, argv, text)
         assert code == 2
         assert err.startswith(line) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fan", "--output", "{missing}/r.json"],
+        ["fan", "--svg", "{missing}/x.svg"],
+        ["render", "--output", "{missing}/x.svg"],
+    ], ids=["fan-output", "fan-svg", "render-output"])
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+        code, err = run_text(capsys, tmp_path, argv, json.dumps(GOLDEN_DOC))
+        assert code == 2
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
     def test_input_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "input.json"
@@ -687,9 +702,14 @@ class TestUnreadableAndUnwritable:
              "input": {"dim": 2, "expr": f"{NINES}*max({NINES}*x1, x2)"}}))
         (jobs / "d.json").write_text('{"command": "fan", "input": '
                                      + "[" * 100000 + "]" * 100000 + "}")
+        (jobs / "e.json").write_text(json.dumps(
+            {"command": "classify", "input": {"dim": 2, "expr": f"max(x1, {NINES}*{NINES})"}}))
+        (jobs / "f.json").write_text(json.dumps(
+            {"command": "classify", "input": {"dim": 2, "expr": "max(x1, x2)"}}))
         code = main(["--batch", str(jobs)])
         lines = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert [line.split(":")[0] for line in lines] == ["a.json", "c.json", "d.json"]
+        assert [line.split(":")[0] for line in lines] == ["a.json", "c.json", "d.json", "e.json"]
         assert json.loads((jobs / "b.out.json").read_text())["concave"] is True
+        assert json.loads((jobs / "f.out.json").read_text())["concave"] is True
         assert not (jobs / "c.out.json").exists()

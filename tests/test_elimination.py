@@ -1,11 +1,14 @@
 """Oracle tests for the fraction-free elimination and the double
 description hulls in exact_math.
 
-The linear algebra is checked against sympy's exact rational matrices.  The
-hull facets are checked against two subset enumerations kept below as
-references: the earlier Fraction implementation (Gauss-Jordan over
-Fractions for the candidate normal, and Fraction side tests) and the
-integer one that preceded the double description.
+The linear algebra is checked against sympy's exact rational matrices, and
+the determinant and the integer kernel read off the elimination against the
+routines they replaced, kept below as references: a separate Bareiss loop
+with row swaps, and signed maximal minors.  The hull facets are checked
+against two subset enumerations kept below as references: the earlier
+Fraction implementation (Gauss-Jordan over Fractions for the candidate
+normal, and Fraction side tests) and the integer one that preceded the
+double description.
 """
 
 from __future__ import annotations
@@ -25,11 +28,15 @@ from relutoric.errors import RankDeficient  # noqa: E402
 from relutoric.exact_math import (  # noqa: E402
     clear_denominators,
     convex_hull,
+    int_det,
     integer_kernel_direction,
+    is_zero_vector,
     mat_rank,
+    normalize_primitive,
     nullspace_covectors,
     pivot_columns,
     rational_to_primitive,
+    simplicial_rays,
     solve_exact,
     vdot,
     vneg,
@@ -126,6 +133,112 @@ class TestEliminationAgainstSympy:
         assert nullspace_covectors([], 2) == [(F(1), F(0)), (F(0), F(1))]
         with pytest.raises(RankDeficient):
             solve_exact([], [])
+
+
+# ---------------------------------------------------------------------------
+# determinants and integer kernels
+# ---------------------------------------------------------------------------
+
+def reference_int_det(rows) -> int:
+    """int_det as first written: its own Bareiss loop, swapping in the next
+    row with a nonzero entry when a diagonal entry is 0."""
+    mat = [list(map(int, row)) for row in rows]
+    n = len(mat)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if mat[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+            mat[i][k] = 0
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]
+
+
+def reference_kernel_direction(rows):
+    """integer_kernel_direction as first written: the signed maximal minors
+    (the generalized cross product), gcd-normalized."""
+    rows = [tuple(int(x) for x in r) for r in rows]
+    n = len(rows) + 1
+    coords = []
+    for j in range(n):
+        minor = [[row[c] for c in range(n) if c != j] for row in rows]
+        coords.append((-1) ** j * reference_int_det(minor))
+    if is_zero_vector(coords):
+        raise RankDeficient("rows do not span a hyperplane")
+    prim, _ = normalize_primitive(coords)
+    return prim
+
+
+@st.composite
+def integer_rows(draw, nrows, ncols, singular=True):
+    """Integer rows with entries in [-5, 5], some with leading zeros (so
+    pivot columns come out of order) and, when `singular`, sometimes one
+    row a combination of two others (so the rank is short)."""
+    rows = []
+    for _ in range(nrows):
+        row = draw(st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols))
+        zeros = draw(st.integers(0, ncols - 1))
+        rows.append([0] * zeros + row[zeros:])
+    if singular and nrows > 2 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(nrows)))[:3]
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[c] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@st.composite
+def square_rows(draw):
+    n = draw(st.integers(0, 5))
+    return draw(integer_rows(n, n))
+
+
+@st.composite
+def full_rank_rows(draw, extra_rows):
+    """n - 1 + extra_rows integer rows of length n, n = 2..5, of full row
+    rank."""
+    n = draw(st.integers(2, 5))
+    rows = draw(integer_rows(n - 1 + extra_rows, n, singular=False))
+    hypothesis.assume(mat_rank(rows) == len(rows))
+    return rows
+
+
+class TestDeterminantAndKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(square_rows())
+    def test_int_det_matches_sympy(self, rows):
+        expected = int(sympy.Matrix(len(rows), len(rows), sum(rows, [])).det())
+        assert int_det(rows) == expected == reference_int_det(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(full_rank_rows(0))
+    def test_kernel_direction_matches_minors(self, rows):
+        kernel = integer_kernel_direction(rows)
+        assert normalize_primitive(kernel)[1] == 1
+        assert all(vdot(row, kernel) == 0 for row in rows)
+        assert kernel in (reference_kernel_direction(rows),
+                          vneg(reference_kernel_direction(rows)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_rank_rows(1))
+    def test_simplicial_rays_pair_with_their_own_row(self, rows):
+        rays = simplicial_rays(rows)
+        for i, row in enumerate(rows):
+            for j, ray in enumerate(rays):
+                product = vdot(row, ray)
+                assert product > 0 if i == j else product == 0
+
+    def test_rank_deficient_rows_have_no_kernel_direction(self):
+        with pytest.raises(RankDeficient):
+            integer_kernel_direction([[1, 2, 3], [2, 4, 6]])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@
 - One simplicial seed: `integer_kernel_direction` is used only by
   `exact_math.simplicial_rays`, which starts every double description and
   every arrangement, and by `exact_math.kernel_normal`.
+- One exact elimination: `_echelon` is used only by the routines that read
+  rank, pivots, bases, solves, covectors, determinants and kernels off it,
+  and `int_det` only by `exact_math.euclidean_volume`, so no kernel is
+  built from minors again.
 """
 
 from __future__ import annotations
@@ -120,6 +124,11 @@ CUT_STEP_USERS = {
 # the kernel of n - 1 integer rows -> the places allowed to use it
 KERNEL_USERS = {"exact_math.simplicial_rays", "exact_math.kernel_normal"}
 
+# the one elimination routine -> its readers
+ECHELON_USERS = {f"exact_math.{name}" for name in (
+    "mat_rank", "pivot_columns", "independent_rows", "solve_exact",
+    "nullspace_covectors", "int_det", "integer_kernel_direction")}
+
 
 def users(name: str) -> set[str]:
     return {f"{path.stem}.{scope}" for path in SOURCES
@@ -138,6 +147,11 @@ def test_cut_step_has_two_users(name):
 
 def test_one_simplicial_seed():
     assert users("integer_kernel_direction") == KERNEL_USERS
+
+
+def test_one_elimination():
+    assert users("_echelon") == ECHELON_USERS
+    assert users("int_det") == {"exact_math.euclidean_volume"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
