@@ -55,7 +55,7 @@ def ratvec(values) -> RatVec:
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):
@@ -122,14 +122,15 @@ def _echelon(rows) -> list[tuple[int, int, list[int]]]:
     """Fraction-free row reduction (Bareiss), one row at a time, in order.
 
     Each row is scaled once to integers by the positive lcm of its
-    denominators and reduced against the pivot rows kept so far, each of
-    which owns the column c of its first nonzero entry: against pivot row
-    b it becomes (b[c] * v - v[c] * b) / p, p the pivot entry of the pivot
-    row before b (1 for the first).  By Sylvester's identity, entry j is
-    then the minor of the scaled input on the rows of those pivots and its
-    own and on their pivot columns and column j, so every division is exact
-    and no entry outgrows a minor of the input.  A row with something left
-    becomes a pivot row, zero in every earlier pivot column.
+    denominators (a row of ints is taken as it is) and reduced against the
+    pivot rows kept so far, each of which owns the column c of its first
+    nonzero entry: against pivot row b it becomes (b[c] * v - v[c] * b) / p,
+    p the pivot entry of the pivot row before b (1 for the first).  By
+    Sylvester's identity, entry j is then the minor of the scaled input on
+    the rows of those pivots and its own and on their pivot columns and
+    column j, so every division is exact and no entry outgrows a minor of
+    the input.  A row with something left becomes a pivot row, zero in
+    every earlier pivot column.
 
     Returns (row index, pivot column, pivot row) for each row that gave a
     pivot, in order; the scan stops once the pivot rows span every column.
@@ -140,7 +141,9 @@ def _echelon(rows) -> list[tuple[int, int, list[int]]]:
     """
     pivots: list[tuple[int, int, list[int]]] = []
     for i, row in enumerate(rows):
-        v = list(clear_denominators(row)[0])
+        v = list(row)
+        if not all(type(x) is int for x in v):
+            v = list(clear_denominators(v)[0])
         p = 1
         for _, col, b in pivots:
             bc, vc = b[col], v[col]

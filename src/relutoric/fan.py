@@ -101,7 +101,7 @@ class Cone:
     def interior_point(self) -> IntVec:
         """Sum of the extreme rays; interior for full-dimensional cones,
         relative-interior in general."""
-        return tuple(sum(r[i] for r in self.rays) for i in range(self.dim))
+        return tuple(map(sum, zip(*self.rays)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ is exact; on success, explicit integer first-layer rows and rational output
 weights are synthesized (one neuron per bend hyperplane, function recovered
 up to an explicit linear correction).
 
+The criterion fan is the arrangement of the extended bend hyperplanes, and
+the function is linear on each of its cells.  When the function's own fan
+already is that arrangement (a generic shallow net) it is reused with its
+slopes.  Otherwise each cell, keyed by its signs on those hyperplanes,
+takes the slope of a cone whose interior point has the same signs: the
+slope point location would find (`transfer_support`).
+
 Verification runs on the criterion fan: its hyperplanes are the synthesized
 net's own first-layer rows (plus zero-bend coordinate hyperplanes), so it
 refines the net's activation regions and the net's slopes are read off its
@@ -20,12 +27,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CriterionFailed, RelutoricError
-from .exact_math import IntVec, RatVec, vsub
+from .exact_math import IntVec, RatVec, vdot, vsub
 from .fan import (
     EXTENDED,
     Fan,
     Hyperplane,
+    _assemble_fan,
+    _augmented,
+    _split_cone,
     augmented_central_fan,
+    central_fan,
     cone_containing,
     wall_groups,
 )
@@ -81,13 +92,27 @@ def as_support(obj) -> SupportFunction:
 
 
 def transfer_support(s: SupportFunction, fan: Fan) -> SupportFunction:
-    """Re-express s on a fan that refines it (up to zero-bend walls): every
-    maximal cone of `fan` meets the interior of cones of s.fan sharing one
-    slope, so an interior probe determines it."""
+    """Re-express s on a central fan that refines it up to zero-bend walls.
+
+    `fan` must be the arrangement of its own `hyperplanes`, so a cell is
+    keyed by the signs of its interior point on their normals.  A cone of s
+    whose interior point lies off every hyperplane shares that point with
+    one cell, and s is linear on the cell, so the cone's slope is the one
+    point location would find there; a cell no cone reaches is located
+    (`cone_containing`)."""
+    normals = [h.normal for h in fan.hyperplanes]
+    table = {}
+    for cone, slope in zip(s.fan.maximal_cones, s.slopes):
+        products = [vdot(n, cone.interior_point()) for n in normals]
+        if all(products):
+            table[tuple(p > 0 for p in products)] = slope
     slopes = []
     for cone in fan.maximal_cones:
         probe = cone.interior_point()
-        slopes.append(s.slopes[cone_containing(s.fan, probe)])
+        slope = table.get(tuple(vdot(n, probe) > 0 for n in normals))
+        if slope is None:
+            slope = s.slopes[cone_containing(s.fan, probe)]
+        slopes.append(slope)
     return SupportFunction(fan, tuple(slopes))
 
 
@@ -106,9 +131,18 @@ def nonlinear_locus_hyperplanes(s: SupportFunction) -> tuple[Hyperplane, ...]:
 
 def criterion_fan(s: SupportFunction) -> tuple[Fan, SupportFunction]:
     """Central fan of the extended bend hyperplanes (synthetically augmented
-    when rank-deficient) carrying the transferred slopes."""
-    extended = nonlinear_locus_hyperplanes(s)
-    fan = augmented_central_fan(extended, s.fan.dim)
+    when rank-deficient) carrying the transferred slopes.  When every wall
+    of s.fan lies on one of them and none cuts a cone of s.fan, each cone is
+    a cell: the canonical cones of s.fan, reassembled with the hyperplanes,
+    are the arrangement's in its order, and keep s.slopes."""
+    dim = s.fan.dim
+    planes = _augmented(nonlinear_locus_hyperplanes(s), dim)
+    normals = {h.normal for h in planes}
+    if all(w.normal in normals for w in s.fan.walls) and not any(
+            _split_cone(cone, n) for cone in s.fan.maximal_cones for n in normals):
+        fan = _assemble_fan(s.fan.maximal_cones, dim, planes)
+        return fan, SupportFunction(fan, s.slopes)
+    fan = central_fan(planes, dim)
     return fan, transfer_support(s, fan)
 
 

@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from relutoric.errors import RankDeficient  # noqa: E402
 from relutoric.exact_math import (  # noqa: E402
+    _echelon,
     clear_denominators,
     convex_hull,
     int_det,
@@ -235,6 +236,13 @@ class TestDeterminantAndKernel:
             for j, ray in enumerate(rays):
                 product = vdot(row, ray)
                 assert product > 0 if i == j else product == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
+        lambda shape: integer_rows(*shape)))
+    def test_integer_rows_eliminate_as_their_fraction_copies(self, rows):
+        # a row of ints skips the clearing of denominators
+        assert _echelon(rows) == _echelon([[F(x) for x in row] for row in rows])
 
     def test_rank_deficient_rows_have_no_kernel_direction(self):
         with pytest.raises(RankDeficient):

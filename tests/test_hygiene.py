@@ -21,6 +21,10 @@
   rank, pivots, bases, solves, covectors, determinants and kernels off it,
   and `int_det` only by `exact_math.euclidean_volume`, so no kernel is
   built from minors again.
+- No all-pairs point location: `cone_containing`, a scan over every
+  maximal cone, is used only by `SupportFunction.value` and by the
+  fallback of `realizability.transfer_support`, which keys cells by sign
+  vector, so no loop over cells locates each one again.
 """
 
 from __future__ import annotations
@@ -130,6 +134,10 @@ ECHELON_USERS = {f"exact_math.{name}" for name in (
     "nullspace_covectors", "int_det", "integer_kernel_direction")}
 
 
+# the point location scan -> the places allowed to use it
+POINT_LOCATION_USERS = {"divisor.value", "realizability.transfer_support"}
+
+
 def users(name: str) -> set[str]:
     return {f"{path.stem}.{scope}" for path in SOURCES
             for scope, _ in name_uses(_tree(path), name)}
@@ -152,6 +160,10 @@ def test_one_simplicial_seed():
 def test_one_elimination():
     assert users("_echelon") == ECHELON_USERS
     assert users("int_det") == {"exact_math.euclidean_volume"}
+
+
+def test_point_location_has_two_users():
+    assert users("cone_containing") == POINT_LOCATION_USERS
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relutoric import fan as fan_module, realizability
 from relutoric.cli import JobSpec, run_job
 from relutoric.errors import CriterionFailed
-from relutoric.divisor import support_of_network
+from relutoric.divisor import SupportFunction, support_of_network
 from relutoric.exact_math import vdot
 from relutoric.expressions import (
     compile_expression,
@@ -14,12 +15,14 @@ from relutoric.expressions import (
     parse_and_compile,
     parse_expression,
 )
-from relutoric.fan import EXTENDED, Hyperplane
+from relutoric.fan import EXTENDED, Hyperplane, augmented_central_fan, cone_containing
 from relutoric.jsonio import encode_network, encode_vector
 from relutoric.network import evaluate, network
 from relutoric.realizability import (
     analyze,
+    common_refinement,
     criterion_check,
+    criterion_fan,
     nonlinear_locus_hyperplanes,
     synthesize_shallow,
     verify_synthesis,
@@ -334,3 +337,152 @@ class TestShallowRoundTrip:
         altered = network([rows, [(weights_out[0] + 1,) + weights_out[1:]]])
         assert verify_synthesis(report, altered)[0] is False
         assert verify_up_to_linear(s, altered)[0] is False
+
+
+# ---------------------------------------------------------------------------
+# the criterion fan against the arrangement it replaces
+# ---------------------------------------------------------------------------
+
+def reference_transfer_support(s, fan):
+    """The slopes of s moved onto `fan` by point location: each cell takes
+    the slope of the lowest-indexed cone of s whose closure holds the
+    cell's interior point."""
+    return SupportFunction(fan, tuple(
+        s.slopes[cone_containing(s.fan, cone.interior_point())]
+        for cone in fan.maximal_cones))
+
+
+def reference_criterion_fan(s):
+    """The arrangement of the extended bend hyperplanes, always built, with
+    the slopes located cell by cell."""
+    fan = augmented_central_fan(nonlinear_locus_hyperplanes(s), s.fan.dim)
+    return fan, reference_transfer_support(s, fan)
+
+
+def reference_common_refinement(supports):
+    fan = augmented_central_fan(
+        [Hyperplane(wall.normal, EXTENDED) for s in supports for wall in s.fan.walls],
+        supports[0].fan.dim)
+    return [reference_transfer_support(s, fan) for s in supports]
+
+
+@st.composite
+def max_of_forms(draw):
+    """max of 2-5 integer linear forms in dim 2-4; forms may repeat."""
+    dim = draw(st.integers(2, 4))
+    coeffs = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    forms = [_sum_text(_linear_terms(draw(coeffs))) for _ in range(draw(st.integers(2, 5)))]
+    return dim, f"max({', '.join(forms)})"
+
+
+@st.composite
+def sixpiece_permutations(draw):
+    """SIXPIECE_EXPR with its max arguments and its tail terms reordered."""
+    args = draw(st.permutations(["4*x1 + 5*x2", "3*x1 + 6*x2", "3*x2", "0", "4*x1 - 4*x2"]))
+    tail = draw(st.permutations([" - 2*max(0, x2)", " - 2*max(0, x1 - x2)",
+                                 " - 2*max(0, x1 + x2)"]))
+    return 2, "max(" + ", ".join(args) + ")" + "".join(tail)
+
+
+@st.composite
+def function_pairs(draw):
+    """An expression and a shallow net in one dimension, 2 or 3."""
+    dim = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(weights, min_size=dim, max_size=dim),
+                         min_size=width, max_size=width))
+    net = network([rows, [draw(st.lists(weights, min_size=width, max_size=width))]])
+    return compile_expression(draw(expressions(dim)), dim), support_of_network(net)
+
+
+class TestCriterionFanAgainstReference:
+    """The criterion fan is field for field the arrangement of the extended
+    bend hyperplanes (rays, cones, walls with kind and neurons,
+    hyperplanes), and carries the slopes point location gives, whether s.fan
+    is reused or the slopes move by sign vector."""
+
+    def _check(self, s):
+        fan, refined = criterion_fan(s)
+        expected_fan, expected = reference_criterion_fan(s)
+        assert fan == expected_fan
+        assert refined.fan is fan
+        assert refined.slopes == expected.slopes
+
+    @settings(max_examples=60, deadline=None)
+    @given(nets())
+    def test_nets(self, net):
+        self._check(support_of_network(net))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.one_of(shallow_expressions(), max_of_forms(), sixpiece_permutations()).map(
+            lambda case: parse_and_compile(case[1], case[0])),
+        st.integers(2, 4).flatmap(
+            lambda d: expressions(d).map(lambda expr: compile_expression(expr, d)))))
+    def test_expressions(self, s):
+        self._check(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(function_pairs())
+    def test_common_refinement(self, pair):
+        got = common_refinement(list(pair))
+        expected = reference_common_refinement(list(pair))
+        assert [(r.fan, r.slopes) for r in got] == [(r.fan, r.slopes) for r in expected]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of arrangements built (`central_fan`) and points located
+    (`cone_containing`), wherever the package calls them from."""
+    counts = {"central_fan": 0, "cone_containing": 0}
+    for name in counts:
+        original = getattr(fan_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (fan_module, realizability):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestCriterionFanPaths:
+    """One case per way the criterion fan is made: s.fan reused, the
+    arrangement built and keyed by sign vector, and the arrangement built
+    with every cell located because no cone of s has an interior point off
+    its hyperplanes.  Each agrees with the reference."""
+
+    def _criterion(self, s, calls):
+        expected_fan, expected = reference_criterion_fan(s)
+        calls.update(central_fan=0, cone_containing=0)
+        fan, refined = criterion_fan(s)
+        assert (fan, refined.slopes) == (expected_fan, expected.slopes)
+        return fan
+
+    @pytest.mark.parametrize("s", [
+        parse_and_compile("max(x1, x2, x3, 0)", 3),
+        support_of_network(network([
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+             [1, 1, -1, 2], [2, -1, 1, 1]],
+            [[1, -2, 3, F(1, 2), -1, 2]]])),
+    ], ids=["max-of-four", "generic-4-6-1"])
+    def test_reuse(self, s, calls):
+        fan = self._criterion(s, calls)
+        assert calls == {"central_fan": 0, "cone_containing": 0}
+        assert fan.maximal_cones == s.fan.maximal_cones
+
+    def test_keyed_coarsening(self, calls):
+        s = parse_and_compile("max(x1, x2, -x1, x1 - x2)", 2)
+        fan = self._criterion(s, calls)
+        assert calls == {"central_fan": 1, "cone_containing": 0}
+        assert len(fan.maximal_cones) < len(s.fan.maximal_cones)
+
+    @pytest.mark.parametrize("s", [
+        support_of_network(network([[[1, 1], [1, -1], [1, -1]], [[1, 1, -1]]])),
+        parse_and_compile("max(x1+x2,0) + max(x1-x2,0) - max(x1-x2,0)", 2),
+    ], ids=["net", "expression"])
+    def test_fallback(self, s, calls):
+        fan = self._criterion(s, calls)
+        assert calls == {"central_fan": 1, "cone_containing": len(fan.maximal_cones)}
