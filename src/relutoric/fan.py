@@ -3,10 +3,11 @@
 Every fan here comes out of one cell-splitting engine.  A central
 arrangement starts from the 2^d simplicial cells of d independent normals and
 splits every cell by each remaining hyperplane; the ReLU fan then refines each
-maximal cone wherever the composed (cone-linear) functional of a deeper
-neuron changes sign.  Each split is one exact double-description step on
-integers, so cones carry both their extreme rays and an irredundant inward
-facet description, and no cell is ever enumerated that does not exist.
+maximal cone wherever a deeper neuron changes sign, its row pulled back to a
+linear functional of the input at the cone's probe (its interior point).
+Each split is one exact double-description step on integers, so cones carry
+both their extreme rays and an irredundant inward facet description, and no
+cell is ever enumerated that does not exist.
 Each cone also keeps which rays lie on each of its facets, as the step that
 made it found them, and the walls of the fan are read off that record.
 
@@ -39,7 +40,7 @@ from .exact_math import (
     vdot,
     vneg,
 )
-from .network import ValidatedNetwork, cleared_layers
+from .network import ValidatedNetwork, cleared_layers, pull_back
 
 LAYER1 = "layer1"
 SYNTHETIC = "synthetic"
@@ -93,10 +94,6 @@ class Cone:
     halfspaces: tuple[IntVec, ...]
     facet_rays: tuple[tuple[IntVec, ...], ...]
     dim: int
-
-    def contains(self, x) -> bool:
-        x, _ = clear_denominators(x)
-        return all(vdot(n, x) >= 0 for n in self.halfspaces)
 
     def interior_point(self) -> IntVec:
         """Sum of the extreme rays; interior for full-dimensional cones,
@@ -414,10 +411,11 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
 
     Starts from the cells of the first layer's arrangement (synthetically
     augmented with coordinate hyperplanes when not essential), in their
-    canonical order, then refines cone by cone along the zero sets of the
-    composed (cone-linear) functionals of each deeper hidden layer, and
-    assembles the fan once.  The output layer never refines.  The
-    compositions and sign tests run on `cleared_layers(net)`: a positive
+    canonical order, then refines cone by cone along the zero sets of each
+    deeper hidden layer's rows, pulled back at the cone's probe (its interior
+    point; the cone lies in one activation region of every earlier layer),
+    and assembles the fan once.  The output layer never refines.  The
+    pull-backs and sign tests run on `cleared_layers(net)`: a positive
     multiple of a functional has the same signs and the same primitive cut.
     """
     if not net.is_unbiased:
@@ -426,16 +424,12 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
     planes = _augmented(layer_one_hyperplanes(net), dim)
     cones = _sort_cones(_arrangement_cells(planes, dim), dim)
     layers, _ = cleared_layers(net)
-
-    prefix = [_activated(layers[0], cone) for cone in cones]
     bent_cuts: list[tuple[IntVec, tuple[int, int]]] = []
     for layer in range(2, net.hidden_layers + 1):
-        rows = layers[layer - 1]
         next_cones: list[Cone] = []
-        next_prefix = []
-        for cone, w in zip(cones, prefix):
-            functionals = [_compose(row, w, dim) for row in rows]
+        for cone in cones:
             pieces = [cone]
+            functionals = pull_back(layers, cone.interior_point(), layer - 1)
             for j, phi in enumerate(functionals, start=1):
                 if is_zero_vector(phi):
                     if diagnostics is not None:
@@ -448,24 +442,8 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                     bent_cuts.append((sign_canonical(cut), (layer, j)))
                 pieces = refined
             next_cones.extend(pieces)
-            next_prefix.extend(_activated(functionals, piece) for piece in pieces)
         cones = next_cones
-        prefix = next_prefix
     return _assemble_fan(cones, dim, planes, bent_cuts)
-
-
-def _activated(functionals, cone: Cone):
-    """Linear map computed by ReLU . L on a cone where each row of L is a
-    linear functional of fixed sign: the positive rows, the others zero."""
-    probe = cone.interior_point()
-    zero = (0,) * cone.dim
-    return tuple(phi if vdot(phi, probe) > 0 else zero for phi in functionals)
-
-
-def _compose(out_row, matrix, dim: int):
-    """Covector out_row . matrix."""
-    return tuple(sum(c * row[i] for c, row in zip(out_row, matrix))
-                 for i in range(dim))
 
 
 # ---------------------------------------------------------------------------

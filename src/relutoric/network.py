@@ -156,29 +156,43 @@ def cleared_layers(net: ValidatedNetwork) -> tuple[tuple[tuple[IntVec, ...], ...
     return tuple(layers), scale
 
 
-def linear_piece(cleared, probe: IntVec) -> RatVec:
-    """Slope covector of the network's linear piece at an integer probe.
+def pull_back(layers, probe: IntVec, depth: int) -> list[list[int]]:
+    """Rows of `layers[depth]` as integer covectors of the input on the
+    activation region of an integer probe.
 
-    `cleared` is `cleared_layers(net)`.  One integer forward pass records
-    the activation pattern (a neuron is active when its pre-activation is
-    > 0); the output row is then pulled back through the active rows, and
-    the result is divided by the scale once per coordinate.
+    `layers` are integer matrices, as `cleared_layers` gives them.  One
+    forward pass through the layers before `depth` records the activation
+    pattern at the probe (a neuron is active when its pre-activation is
+    > 0); each row is then pulled back through the active rows.  Any probe
+    inside a cone on which every earlier neuron keeps one sign reads the
+    same pattern, so the rows are that cone's linear functionals.
     """
-    layers, scale = cleared
     x = probe
     passes = []
-    for layer in layers[:-1]:
-        pre = [sum(w * v for w, v in zip(row, x)) for row in layer]
+    for layer in layers[:depth]:
+        pre = [vdot(row, x) for row in layer]
         passes.append((layer, [p > 0 for p in pre], len(x)))
         x = [p if p > 0 else 0 for p in pre]
-    covector = list(layers[-1][0])
+    covectors = [list(row) for row in layers[depth]]
     for layer, active, width in reversed(passes):
-        pulled = [0] * width
-        for c, row, on in zip(covector, layer, active):
-            if on and c:
-                for j, w in enumerate(row):
-                    pulled[j] += c * w
-        covector = pulled
+        pulled_rows = []
+        for covector in covectors:
+            pulled = [0] * width
+            for c, row, on in zip(covector, layer, active):
+                if on and c:
+                    for j, w in enumerate(row):
+                        pulled[j] += c * w
+            pulled_rows.append(pulled)
+        covectors = pulled_rows
+    return covectors
+
+
+def linear_piece(cleared, probe: IntVec) -> RatVec:
+    """Slope covector of the network's linear piece at an integer probe: the
+    output row pulled back there (:func:`pull_back`), divided by the scale.
+    `cleared` is `cleared_layers(net)`."""
+    layers, scale = cleared
+    covector = pull_back(layers, probe, len(layers) - 1)[0]
     return tuple(Fraction(c, scale) for c in covector)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CriterionFailed, RelutoricError
+from .errors import CriterionFailed, DimensionMismatch, RelutoricError
 from .exact_math import IntVec, RatVec, vdot, vsub
 from .fan import (
     EXTENDED,
@@ -195,10 +195,14 @@ def synthesize_shallow(cpwl, report: RealizabilityReport | None = None) -> Valid
 
 def common_refinement(supports) -> list[SupportFunction]:
     """Transfer several supports onto the central fan of the union of all
-    their wall hyperplanes (augmented if necessary)."""
+    their wall hyperplanes (augmented if necessary).  Raises
+    DimensionMismatch when the supports live in different dimensions."""
+    dims = sorted({s.fan.dim for s in supports})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"supports have dimensions {dims}, expected one")
     fan = augmented_central_fan(
         [Hyperplane(wall.normal, EXTENDED) for s in supports for wall in s.fan.walls],
-        supports[0].fan.dim)
+        dims[0])
     return [transfer_support(s, fan) for s in supports]
 
 

@@ -119,6 +119,12 @@ def expressions(draw, dim, constants=False):
     return draw(st.recursive(leaf, extend, max_leaves=6))
 
 
+def in_cone(cone, x) -> bool:
+    """Whether x lies in the closed cone: every inward facet normal pairs
+    with it to >= 0."""
+    return all(vdot(n, x) >= 0 for n in cone.halfspaces)
+
+
 def bend_oracle(value_at, fan, wall) -> Fraction:
     """Second-difference bend of a function across a wall, per unit step of
     the quotient lattice, measured from exact values only.
@@ -139,7 +145,7 @@ def bend_oracle(value_at, fan, wall) -> Fraction:
     for _ in range(64):
         plus = vadd(p, vscale(eps, u))
         minus = vadd(p, vscale(-eps, u))
-        if second.contains(plus) and first.contains(minus):
+        if in_cone(second, plus) and in_cone(first, minus):
             break
         eps /= 2
     else:

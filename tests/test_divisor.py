@@ -61,6 +61,7 @@ from conftest import (
     SIXPIECE_EXPR,
     bend_oracle,
     expressions,
+    in_cone,
     rand_point,
     rand_rational,
     random_nets,
@@ -214,7 +215,7 @@ class TestIntersectionNumbers:
         for wall in s.fan.walls:
             lift = wall_curve(s.fan, wall)
             second = s.fan.maximal_cones[wall.cones[1]]
-            assert second.contains(lift)
+            assert in_cone(second, lift)
             # inside sigma', so the normal oriented toward sigma' pairs to +1
             assert abs(vdot(wall.normal, lift)) == 1
 

@@ -25,6 +25,9 @@
   maximal cone, is used only by `SupportFunction.value` and by the
   fallback of `realizability.transfer_support`, which keys cells by sign
   vector, so no loop over cells locates each one again.
+- One pull-back: `network.pull_back`, which reads a layer's rows as
+  covectors of the input at a probe, is used only by `network.linear_piece`
+  and `fan.build_relu_fan`, so no second loop carries composed maps along.
 """
 
 from __future__ import annotations
@@ -138,6 +141,10 @@ ECHELON_USERS = {f"exact_math.{name}" for name in (
 POINT_LOCATION_USERS = {"divisor.value", "realizability.transfer_support"}
 
 
+# the one pull-back of layer rows to the input -> its users
+PULL_BACK_USERS = {"network.linear_piece", "fan.build_relu_fan"}
+
+
 def users(name: str) -> set[str]:
     return {f"{path.stem}.{scope}" for path in SOURCES
             for scope, _ in name_uses(_tree(path), name)}
@@ -164,6 +171,10 @@ def test_one_elimination():
 
 def test_point_location_has_two_users():
     assert users("cone_containing") == POINT_LOCATION_USERS
+
+
+def test_one_pull_back():
+    assert users("pull_back") == PULL_BACK_USERS
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -31,6 +31,7 @@ from relutoric.network import (
     evaluate,
     linear_piece,
     network,
+    pull_back,
     reduce_shallow,
 )
 from conftest import expressions, nets, rand_point
@@ -87,6 +88,31 @@ class TestNetworkSlopes:
         cleared = cleared_layers(network([[[1, 0]], [[1]]]))
         assert linear_piece(cleared, (0, 1)) == (0, 0)
         assert linear_piece(cleared, (1, 1)) == (1, 0)
+
+
+class TestPullBack:
+    @settings(max_examples=60, deadline=None)
+    @given(nets())
+    def test_rows_are_constant_on_each_cone(self, net):
+        # build_relu_fan cuts each cone by the rows pulled back at its
+        # interior point; every maximal cone lies in one activation region,
+        # so a second probe inside it reads the same rows at every depth
+        layers, _ = cleared_layers(net)
+        for cone in build_relu_fan(net).maximal_cones:
+            probe = cone.interior_point()
+            other = tuple(2 * p + r for p, r in zip(probe, cone.rays[0]))
+            for depth in range(len(layers)):
+                assert pull_back(layers, probe, depth) == pull_back(layers, other, depth)
+
+    def test_rows_of_a_deeper_layer(self):
+        # on x1 > 0 > x2 only the first neuron is active, so the row (2, 3)
+        # of the second layer pulls back to 2 * (1, 0)
+        layers, _ = cleared_layers(network([[[1, 0], [0, 1]], [[2, 3]], [[1]]]))
+        assert pull_back(layers, (1, -1), 0) == [[1, 0], [0, 1]]
+        assert pull_back(layers, (1, -1), 1) == [[2, 0]]
+        assert pull_back(layers, (1, 1), 1) == [[2, 3]]
+        assert pull_back(layers, (1, -1), 2) == [[2, 0]]
+        assert pull_back(layers, (-1, -1), 2) == [[0, 0]]
 
 
 def _assert_expression_matches(expr, dim):

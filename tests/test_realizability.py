@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from relutoric import fan as fan_module, realizability
 from relutoric.cli import JobSpec, run_job
-from relutoric.errors import CriterionFailed
+from relutoric.errors import CriterionFailed, DimensionMismatch
 from relutoric.divisor import SupportFunction, support_of_network
 from relutoric.exact_math import vdot
 from relutoric.expressions import (
@@ -201,6 +201,15 @@ class TestVerifyUpToLinear:
         shallow = network([[[1, 0], [0, 1]], [[1, 1]]])
         ok, _ = verify_up_to_linear(support_of_network(golden_net), shallow)
         assert not ok
+
+    def test_net_of_another_dimension_rejected(self):
+        # max(x1, x2, 0) in R^2 against a net on R^3: no common refinement
+        s = parse_and_compile("max(x1, x2, 0)", 2)
+        net = network([[[1, 0, 0], [0, 1, 0]], [[1, 1]]])
+        with pytest.raises(DimensionMismatch, match=r"dimensions \[2, 3\]"):
+            verify_up_to_linear(s, net)
+        with pytest.raises(DimensionMismatch):
+            common_refinement([support_of_network(net), s])
 
 
 class TestRandomRoundTrip:
