@@ -48,7 +48,7 @@ from .jsonio import (
     encode_vector,
 )
 from .network import NeuronId, affine_shift, evaluate, neuron_value, reduce_shallow
-from .realizability import criterion_check, synthesize_shallow, verify_synthesis
+from .realizability import analyze
 from .svg import render_fan_svg
 
 @dataclass
@@ -248,37 +248,32 @@ def _cmd_shift(job: JobSpec) -> JobResult:
 
 def _cmd_realize(job: JobSpec) -> JobResult:
     _, support = _support_of(job.document)
-    report = criterion_check(support)
-    payload = {"realizable": report.realizable}
-    payload["groups"] = [
-        {
-            "hyperplane": list(g.normal),
-            "walls": [[list(v) for v in w] for w in g.walls],
-            "numbers": [encode_rational(n) for n in g.numbers],
-            "equal": g.passes,
-        }
-        for g in report.groups
-    ]
-    if report.witness is not None:
-        payload["witness"] = {
-            "hyperplane": list(report.witness.normal),
-            "numbers": [encode_rational(n) for n in report.witness.numbers],
-        }
-    else:
-        payload["witness"] = None
-    if report.realizable:
-        net = synthesize_shallow(support, report)
-        ok, correction = verify_synthesis(report, net)
-        payload["synthesis"] = {
-            "network": encode_network(net),
+    report = analyze(support)
+    witness, synthesis = report.witness, report.synthesis
+    payload = {
+        "realizable": report.realizable,
+        "groups": [
+            {
+                "hyperplane": list(g.normal),
+                "walls": [[list(v) for v in w] for w in g.walls],
+                "numbers": [encode_rational(n) for n in g.numbers],
+                "equal": g.passes,
+            }
+            for g in report.groups
+        ],
+        "witness": None if witness is None else {
+            "hyperplane": list(witness.normal),
+            "numbers": [encode_rational(n) for n in witness.numbers],
+        },
+        "synthesis": None if synthesis is None else {
+            "network": encode_network(synthesis.network),
             "linear_correction": {
-                "slope": encode_vector(correction),
+                "slope": encode_vector(synthesis.correction_slope),
                 "constant": 0,
             },
-            "verified": ok,
-        }
-    else:
-        payload["synthesis"] = None
+            "verified": synthesis.verified,
+        },
+    }
     code = 3 if (job.expect_realizable and not report.realizable) else 0
     return JobResult(payload, exit_code=code)
 
@@ -398,7 +393,7 @@ def _read_json(path) -> object:
         raise DocumentError(str(exc)) from None
 
 
-def _run_batch(directory: str, fmt: str) -> int:
+def _run_batch(directory: str) -> int:
     base = Path(directory)
     files = sorted(base.glob("*.json"))
     files = [f for f in files if not f.name.endswith(".out.json")]
@@ -418,7 +413,6 @@ def _run_batch(directory: str, fmt: str) -> int:
                 command=doc.get("command", ""),
                 document=doc.get("input", {}),
                 output=str(path.with_name(path.stem + ".out.json")),
-                fmt=fmt,
                 m_max=decode_int(flags.get("m_max", 8), "m_max"),
                 negate=decode_bool(flags.get("negate", False), "negate"),
                 expect_realizable=decode_bool(flags.get("expect_realizable", False),
@@ -468,7 +462,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.batch:
-        return _run_batch(args.batch, "json")
+        return _run_batch(args.batch)
     if not args.command:
         parser.print_usage(sys.stderr)
         return 2

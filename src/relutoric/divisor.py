@@ -58,6 +58,8 @@ class SupportFunction:
 
     def value(self, x) -> Fraction:
         x = ratvec(x)
+        if len(x) != self.fan.dim:
+            raise DimensionMismatch(f"point has dimension {len(x)}, expected {self.fan.dim}")
         return frac(vdot(self.slopes[cone_containing(self.fan, x)], x))
 
     def clearing_multiple(self) -> int:

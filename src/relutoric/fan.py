@@ -321,17 +321,13 @@ def _canonical_cone(cone: Cone, dim: int) -> Cone:
     return Cone(rays, tuple(n for n, _ in facets), tuple(t for _, t in facets), dim)
 
 
-def _assemble_fan(cones, dim: int, hyperplanes, bent_cuts=()) -> Fan:
+def _assemble_fan(cones, dim: int, hyperplanes, bent=()) -> Fan:
+    """Fan of the cones in canonical order.  A wall's provenance is that of
+    its hyperplane in `hyperplanes`, else of the merged `bent` cuts."""
     cones = _sort_cones(cones, dim)
     rays = sort_rays({r for c in cones for r in c.rays}, dim)
-    provenance: dict[IntVec, tuple[str, tuple]] = {}
-    for normal, tag in bent_cuts:
-        kind, neurons = provenance.get(normal, (BENT, ()))
-        if tag not in neurons:
-            neurons = neurons + (tag,)
-        provenance[normal] = (BENT, neurons)
-    for h in hyperplanes:
-        provenance[h.normal] = (h.kind, h.neurons)
+    provenance = {h.normal: (h.kind, h.neurons)
+                  for h in merge_hyperplanes(bent) + tuple(hyperplanes)}
     walls = _walls_from_cones(cones, dim, provenance)
     return Fan(dim, tuple(rays), tuple(cones), walls, tuple(hyperplanes))
 
@@ -424,7 +420,7 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
     planes = _augmented(layer_one_hyperplanes(net), dim)
     cones = _sort_cones(_arrangement_cells(planes, dim), dim)
     layers, _ = cleared_layers(net)
-    bent_cuts: list[tuple[IntVec, tuple[int, int]]] = []
+    bent: list[Hyperplane] = []
     for layer in range(2, net.hidden_layers + 1):
         next_cones: list[Cone] = []
         for cone in cones:
@@ -439,11 +435,11 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                 cut = rational_to_primitive(phi)
                 refined = _refine(pieces, cut)
                 if len(refined) > len(pieces):
-                    bent_cuts.append((sign_canonical(cut), (layer, j)))
+                    bent.append(Hyperplane(sign_canonical(cut), BENT, ((layer, j),)))
                 pieces = refined
             next_cones.extend(pieces)
         cones = next_cones
-    return _assemble_fan(cones, dim, planes, bent_cuts)
+    return _assemble_fan(cones, dim, planes, bent)
 
 
 # ---------------------------------------------------------------------------

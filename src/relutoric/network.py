@@ -69,9 +69,6 @@ class ValidatedNetwork:
             return True
         return all(all(b == 0 for b in vec) for vec in self.biases)
 
-    def spec(self) -> NetworkSpec:
-        return NetworkSpec(self.architecture, self.layers, self.biases)
-
 
 def network(layers, biases=None) -> ValidatedNetwork:
     """Build and validate a network directly from nested weight lists."""
@@ -83,6 +80,12 @@ def network(layers, biases=None) -> ValidatedNetwork:
     if biases is not None:
         b = tuple(ratvec(vec) for vec in biases)
     return validate(NetworkSpec(arch, mats, b))
+
+
+def shallow_network(dim: int, rows, weights) -> ValidatedNetwork:
+    """The unbiased network (dim, len(rows); 1) with these first-layer rows
+    and output weights; no rows give the empty hidden layer."""
+    return validate(NetworkSpec((dim, len(rows), 1), (tuple(rows), (tuple(weights),))))
 
 
 def validate(spec: NetworkSpec) -> ValidatedNetwork:
@@ -222,7 +225,8 @@ def reduce_shallow(net: ValidatedNetwork) -> ValidatedNetwork:
     primitive integer row and lam > 0.  Rows with the same prim (positively
     parallel rows) become one neuron at the place of the first of them,
     whose output weight is the sum of their weights times their lam.  The
-    computed function is unchanged.
+    computed function is unchanged; when every row is zero it is the zero
+    function, with an empty hidden layer.
     """
     if net.hidden_layers != 1:
         raise NotShallow(f"architecture {net.architecture} has depth != 2")
@@ -235,11 +239,7 @@ def reduce_shallow(net: ValidatedNetwork) -> ValidatedNetwork:
         ints, mult = clear_denominators(row)
         prim, g = normalize_primitive(ints)
         merged[prim] = merged.get(prim, 0) + weight * Fraction(g, mult)
-    if not merged:
-        # Every neuron was a zero row: the function is identically zero.
-        empty = NetworkSpec((net.input_dim, 0, 1), ((), ((),)))
-        return validate(empty)
-    return network([list(merged), [list(merged.values())]])
+    return shallow_network(net.input_dim, list(merged), list(merged.values()))
 
 
 def is_reduced(net: ValidatedNetwork) -> bool:

@@ -19,14 +19,18 @@ net's own first-layer rows (plus zero-bend coordinate hyperplanes), so it
 refines the net's activation regions and the net's slopes are read off its
 cones directly.  `verify_up_to_linear` compares a function with any net on
 a common refinement and stays the reference for nets of other origin.
+
+`analyze` is the one realize pipeline (criterion, synthesis, verification),
+and the CLI's `realize` reports what it returns.  A synthesized net that
+fails verification is reported in `Synthesis.verified`, not raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import CriterionFailed, DimensionMismatch, RelutoricError
+from .errors import CriterionFailed, DimensionMismatch
 from .exact_math import IntVec, RatVec, vdot, vsub
 from .fan import (
     EXTENDED,
@@ -46,7 +50,7 @@ from .divisor import (
     intersection_number,
     support_of_network,
 )
-from .network import NetworkSpec, ValidatedNetwork, validate
+from .network import ValidatedNetwork, shallow_network
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,12 @@ class HyperplaneGroup:
 
 @dataclass(frozen=True)
 class Synthesis:
-    """Shallow network plus the linear correction g with f = f_net + g."""
+    """Shallow network plus the linear correction g with f = f_net + g, and
+    whether verification confirmed that equation."""
 
     network: ValidatedNetwork
     correction_slope: RatVec
+    verified: bool
 
 
 @dataclass(frozen=True)
@@ -75,11 +81,18 @@ class RealizabilityReport:
     """`refined` is the function transferred onto the criterion fan, kept so
     that a synthesized net can be verified without building another fan."""
 
-    realizable: bool
     groups: tuple[HyperplaneGroup, ...]
-    witness: HyperplaneGroup | None = None
     synthesis: Synthesis | None = None
     refined: SupportFunction | None = field(default=None, compare=False)
+
+    @property
+    def witness(self) -> HyperplaneGroup | None:
+        """The first group whose walls carry unequal numbers."""
+        return next((g for g in self.groups if not g.passes), None)
+
+    @property
+    def realizable(self) -> bool:
+        return self.witness is None
 
 
 def as_support(obj) -> SupportFunction:
@@ -153,25 +166,19 @@ def criterion_check(cpwl) -> RealizabilityReport:
     s = as_support(cpwl)
     fan, refined = criterion_fan(s)
     extended = {h.normal for h in fan.hyperplanes if h.kind == EXTENDED}
-    groups = []
-    witness = None
-    for normal, indices in wall_groups(fan):
-        if normal not in extended:
-            continue
-        walls = tuple(fan.walls[i].generators for i in indices)
-        numbers = tuple(intersection_number(refined, fan.walls[i]) for i in indices)
-        group = HyperplaneGroup(normal, walls, numbers)
-        groups.append(group)
-        if witness is None and not group.passes:
-            witness = group
-    return RealizabilityReport(witness is None, tuple(groups), witness,
-                               refined=refined)
+    groups = tuple(
+        HyperplaneGroup(normal,
+                        tuple(fan.walls[i].generators for i in indices),
+                        tuple(intersection_number(refined, fan.walls[i]) for i in indices))
+        for normal, indices in wall_groups(fan) if normal in extended)
+    return RealizabilityReport(groups, refined=refined)
 
 
 def synthesize_shallow(cpwl, report: RealizabilityReport | None = None) -> ValidatedNetwork:
     """Explicit shallow network from a passing criterion report: first-layer
     rows are the sign-canonical hyperplane normals, output weights are the
-    negated common wall numbers."""
+    negated common wall numbers.  A function with no bends is linear: the
+    net then has an empty hidden layer."""
     s = as_support(cpwl)
     if report is None:
         report = criterion_check(s)
@@ -179,18 +186,8 @@ def synthesize_shallow(cpwl, report: RealizabilityReport | None = None) -> Valid
         raise CriterionFailed(
             f"hyperplane {report.witness.normal} has unequal wall numbers "
             f"{sorted(set(report.witness.numbers))}")
-    dim = s.fan.dim
-    if not report.groups:
-        # No bends at all: the function is linear, computed by the empty
-        # hidden layer up to the linear correction.
-        return validate(NetworkSpec((dim, 0, 1), ((), ((),))))
-    rows = []
-    weights = []
-    for group in report.groups:
-        rows.append(tuple(Fraction(x) for x in group.normal))
-        weights.append(-group.numbers[0])
-    spec = NetworkSpec((dim, len(rows), 1), (tuple(rows), (tuple(weights),)))
-    return validate(spec)
+    return shallow_network(s.fan.dim, [g.normal for g in report.groups],
+                           [-g.numbers[0] for g in report.groups])
 
 
 def common_refinement(supports) -> list[SupportFunction]:
@@ -235,15 +232,14 @@ def verify_synthesis(report: RealizabilityReport,
 
 
 def analyze(cpwl) -> RealizabilityReport:
-    """criterion_check plus synthesis and verification when realizable."""
+    """criterion_check plus synthesis and verification when realizable.
+
+    This is the pipeline the CLI's `realize` reports.  A net that fails
+    verification is returned with `synthesis.verified` false, not raised."""
     s = as_support(cpwl)
     report = criterion_check(s)
     if not report.realizable:
         return report
     net = synthesize_shallow(s, report)
     ok, correction = verify_synthesis(report, net)
-    if not ok:
-        raise RelutoricError(
-            "synthesized network disagrees beyond a linear term")
-    return RealizabilityReport(True, report.groups, None,
-                               Synthesis(net, correction), report.refined)
+    return replace(report, synthesis=Synthesis(net, correction, ok))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from relutoric import realizability
 from relutoric.cli import build_parser, main
 from relutoric.divisor import newton_polytope, support_of_network
 from relutoric.exact_math import mixed_volume
@@ -262,6 +263,15 @@ class TestRealize:
         net = payload["synthesis"]["network"]
         assert net["architecture"] == [2, 2, 1]
         assert payload["synthesis"]["verified"] is True
+
+    def test_failed_verification_is_written(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(realizability, "verify_synthesis",
+                            lambda report, net: (False, (F(0), F(0))))
+        doc = {"dim": 2, "expr": "max(x1, 0) - 2*max(x1 - x2, 0)"}
+        code, payload = run_json(capsys, tmp_path, "realize", doc)
+        assert code == 0
+        assert payload["realizable"] is True
+        assert payload["synthesis"]["verified"] is False
 
 
 class TestRender:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relutoric.errors import (
+    DimensionMismatch,
     InconsistentRayValue,
     NotConvexFunction,
     NotLatticePolytope,
@@ -106,6 +107,13 @@ class TestExtractSupport:
         for _ in range(30):
             p = rand_point(rng, 2)
             assert golden_support.value(p) == evaluate(golden_net, p)
+
+    def test_value_rejects_a_point_of_another_dimension(self):
+        s = parse_and_compile("max(x1, x2, 0)", 2)
+        assert s.value((1, 2)) == 2
+        for point in ((1, 2, 3), (1,)):
+            with pytest.raises(DimensionMismatch):
+                s.value(point)
 
 
 class TestDivisorCoefficients:

@@ -30,6 +30,7 @@ from relutoric.fan import (
     SYNTHETIC,
     Cone,
     Fan,
+    Hyperplane,
     _assemble_fan,
     _split_cone,
     augmented_central_fan,
@@ -559,7 +560,7 @@ def reference_build_relu_fan(net):
     layers, _ = cleared_layers(net)
     cones = list(base.maximal_cones)
     prefix = [_activated(layers[0], cone) for cone in cones]
-    bent_cuts = []
+    bent = []
     for layer in range(2, net.hidden_layers + 1):
         next_cones, next_prefix = [], []
         for cone, w in zip(cones, prefix):
@@ -570,13 +571,13 @@ def reference_build_relu_fan(net):
                     cut = rational_to_primitive(phi)
                     split = [reference_split_cone(piece, cut) for piece in pieces]
                     if any(split):
-                        bent_cuts.append((sign_canonical(cut), (layer, j)))
+                        bent.append(Hyperplane(sign_canonical(cut), BENT, ((layer, j),)))
                     pieces = [q for piece, halves in zip(pieces, split)
                               for q in (halves or (piece,))]
             next_cones.extend(pieces)
             next_prefix.extend(_activated(functionals, piece) for piece in pieces)
         cones, prefix = next_cones, next_prefix
-    return _assemble_fan(cones, dim, base.hyperplanes, bent_cuts)
+    return _assemble_fan(cones, dim, base.hyperplanes, bent)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@
 - One pull-back: `network.pull_back`, which reads a layer's rows as
   covectors of the input at a probe, is used only by `network.linear_piece`
   and `fan.build_relu_fan`, so no second loop carries composed maps along.
+- One realize pipeline: `verify_synthesis` is used only by
+  `realizability.analyze`, so the CLI's `realize` reports what `analyze`
+  decides instead of repeating its steps.
+- One shallow constructor: `network.shallow_network` is used only by
+  `network.reduce_shallow` and `realizability.synthesize_shallow`, so
+  neither builds a net, the empty one included, by a route of its own.
 """
 
 from __future__ import annotations
@@ -145,6 +151,10 @@ POINT_LOCATION_USERS = {"divisor.value", "realizability.transfer_support"}
 PULL_BACK_USERS = {"network.linear_piece", "fan.build_relu_fan"}
 
 
+# the one shallow net constructor -> its users
+SHALLOW_NETWORK_USERS = {"network.reduce_shallow", "realizability.synthesize_shallow"}
+
+
 def users(name: str) -> set[str]:
     return {f"{path.stem}.{scope}" for path in SOURCES
             for scope, _ in name_uses(_tree(path), name)}
@@ -175,6 +185,14 @@ def test_point_location_has_two_users():
 
 def test_one_pull_back():
     assert users("pull_back") == PULL_BACK_USERS
+
+
+def test_one_realize_pipeline():
+    assert users("verify_synthesis") == {"realizability.analyze"}
+
+
+def test_one_shallow_constructor():
+    assert users("shallow_network") == SHALLOW_NETWORK_USERS
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -184,6 +184,16 @@ class TestSynthesis:
         assert report.synthesis.network.architecture == (2, 0, 1)
         assert report.synthesis.correction_slope == (F(2), F(-1))
 
+    def test_failed_verification_is_reported(self, monkeypatch):
+        s = parse_and_compile("max(x1, 0) - 2*max(x1 - x2, 0)", 2)
+        assert analyze(s).synthesis.verified is True
+        monkeypatch.setattr(realizability, "verify_synthesis",
+                            lambda report, net: (False, (F(0), F(0))))
+        report = analyze(s)
+        assert report.realizable
+        assert report.synthesis.verified is False
+        assert report.synthesis.network == synthesize_shallow(s)
+
 
 class TestVerifyUpToLinear:
     def test_exact_match(self):
