@@ -7,6 +7,10 @@ that cannot be written, 3 criterion failure under `realize
 --expect-realizable`.  A batch exits 2 when any document failed, else 3
 when any job exited 3.
 
+A batch document is {"command", "input", "flags"}.  Its `flags` are its
+command's own options (`OPTIONS`) under their JobSpec names, such as
+{"m_max": 3} for `volume`; a flag its command does not take is an error.
+
 One process builds the argument parser once, on its first `main` call;
 parsing keeps no state between calls.
 """
@@ -22,23 +26,23 @@ from pathlib import Path
 
 from .errors import DocumentError, NotLatticePolytope, RelutoricError
 from .divisor import (
+    SupportFunction,
     classify_convexity,
     divisor_coefficients,
     ehrhart_volume_estimate,
-    intersection_number,
     mixed_volume,
     newton_polytope,
     polytope_of_divisor,
     scale_divisor,
     support_of_network,
     wall_curve,
+    wall_numbers,
 )
-from .fan import build_relu_fan, validate_fan, wall_groups
+from .fan import build_relu_fan, validate_fan
 from .jsonio import (
     decode_bool,
-    decode_function,
+    decode_input,
     decode_int,
-    decode_network,
     decode_rational,
     decode_vector,
     encode_fan,
@@ -48,11 +52,13 @@ from .jsonio import (
     encode_vector,
 )
 from .network import NeuronId, affine_shift, evaluate, neuron_value, reduce_shallow
-from .realizability import analyze
+from .realizability import analyze, hyperplane_groups
 from .svg import render_fan_svg
 
 @dataclass
 class JobSpec:
+    """One job.  The fields after `fmt` are the options of `OPTIONS`."""
+
     command: str
     document: dict
     output: str | None = None
@@ -61,6 +67,16 @@ class JobSpec:
     m_max: int = 8
     negate: bool = False
     expect_realizable: bool = False
+
+
+# Each job option under its JobSpec field name: the commands that take it,
+# the decoder of its batch flag and its --help text.  On the command line it
+# is --name with dashes; a boolean is a switch, an integer takes a value.
+OPTIONS = {
+    "m_max": (("volume",), decode_int, None),
+    "negate": (("polytope",), decode_bool, "use -D instead of D"),
+    "expect_realizable": (("realize",), decode_bool, "exit 3 when the criterion fails"),
+}
 
 
 @dataclass
@@ -74,33 +90,16 @@ class JobResult:
 # input handling
 # ---------------------------------------------------------------------------
 
-def _load_inputs(document: dict):
-    """Returns (network or None, support function or None)."""
-    if not isinstance(document, dict):
-        raise DocumentError("input document must be a JSON object")
-    if "network" in document:
-        return decode_network(document["network"]), None
-    if "function" in document:
-        return None, decode_function(document["function"])
-    if "layers" in document:
-        return decode_network(document), None
-    if "expr" in document or "fan" in document:
-        return None, decode_function(document)
-    raise DocumentError("document contains neither a network nor a function")
-
-
-def _support_of(document: dict):
-    net, support = _load_inputs(document)
-    if support is None:
-        support = support_of_network(net)
-    return net, support
+def _support_of(document: dict) -> SupportFunction:
+    decoded = decode_input(document)
+    return decoded if isinstance(decoded, SupportFunction) else support_of_network(decoded)
 
 
 def _require_network(document: dict):
-    net, _ = _load_inputs(document)
-    if net is None:
+    decoded = decode_input(document)
+    if isinstance(decoded, SupportFunction):
         raise DocumentError("this command needs a network document")
-    return net
+    return decoded
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +127,9 @@ def _cmd_eval(job: JobSpec) -> JobResult:
     return JobResult({"values": [encode_rational(v) for v in values]})
 
 
-def _fan_of(document: dict):
-    net, support = _load_inputs(document)
-    if support is not None:
-        return support.fan, support
-    return build_relu_fan(net), None
-
-
 def _cmd_fan(job: JobSpec) -> JobResult:
-    fan, _ = _fan_of(job.document)
+    decoded = decode_input(job.document)
+    fan = decoded.fan if isinstance(decoded, SupportFunction) else build_relu_fan(decoded)
     report = validate_fan(fan)
     payload = encode_fan(fan)
     payload["complete"] = report.complete
@@ -146,7 +139,7 @@ def _cmd_fan(job: JobSpec) -> JobResult:
 
 
 def _cmd_divisor(job: JobSpec) -> JobResult:
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     D = divisor_coefficients(support)
     return JobResult({
         "rays": [list(r) for r in support.fan.rays],
@@ -156,33 +149,25 @@ def _cmd_divisor(job: JobSpec) -> JobResult:
 
 
 def _cmd_intersect(job: JobSpec) -> JobResult:
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     fan = support.fan
-    walls = []
-    numbers = []
-    for wall in fan.walls:
-        number = intersection_number(support, wall)
-        numbers.append(number)
-        walls.append({
-            "generators": [list(g) for g in wall.generators],
-            "cones": list(wall.cones),
-            "hyperplane": list(wall.normal),
-            "provenance": wall.kind,
-            "lift": list(wall_curve(fan, wall)),
-            "number": encode_rational(number),
-        })
-    groups = []
-    for normal, indices in wall_groups(fan):
-        groups.append({
-            "hyperplane": list(normal),
-            "numbers": [encode_rational(numbers[i]) for i in indices],
-            "equal": len({numbers[i] for i in indices}) <= 1,
-        })
+    numbers = wall_numbers(support)
+    walls = [{"generators": [list(g) for g in wall.generators],
+              "cones": list(wall.cones),
+              "hyperplane": list(wall.normal),
+              "provenance": wall.kind,
+              "lift": list(wall_curve(fan, wall)),
+              "number": encode_rational(number)}
+             for wall, number in zip(fan.walls, numbers)]
+    groups = [{"hyperplane": list(g.normal),
+               "numbers": [encode_rational(n) for n in g.numbers],
+               "equal": g.passes}
+              for g in hyperplane_groups(fan, numbers)]
     return JobResult({"walls": walls, "groups": groups})
 
 
 def _cmd_classify(job: JobSpec) -> JobResult:
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     report = classify_convexity(support)
     return JobResult({
         "convex": report.convex,
@@ -195,7 +180,7 @@ def _cmd_classify(job: JobSpec) -> JobResult:
 
 
 def _cmd_polytope(job: JobSpec) -> JobResult:
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     D = divisor_coefficients(support)
     if decode_bool(job.document.get("negate", False), "negate") or job.negate:
         D = scale_divisor(D, -1)
@@ -203,7 +188,7 @@ def _cmd_polytope(job: JobSpec) -> JobResult:
 
 
 def _cmd_newton(job: JobSpec) -> JobResult:
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     return JobResult(encode_polytope(newton_polytope(support)))
 
 
@@ -214,7 +199,7 @@ def _cmd_volume(job: JobSpec) -> JobResult:
     `newton` would fail."""
     if job.m_max < 1:
         raise DocumentError(f"m_max must be at least 1, got {job.m_max}")
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     P = polytope_of_divisor(scale_divisor(divisor_coefficients(support), -1))
     volume = encode_rational(mixed_volume(P))
     payload = {
@@ -247,7 +232,7 @@ def _cmd_shift(job: JobSpec) -> JobResult:
 
 
 def _cmd_realize(job: JobSpec) -> JobResult:
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     report = analyze(support)
     witness, synthesis = report.witness, report.synthesis
     payload = {
@@ -279,7 +264,7 @@ def _cmd_realize(job: JobSpec) -> JobResult:
 
 
 def _cmd_render(job: JobSpec) -> JobResult:
-    _, support = _support_of(job.document)
+    support = _support_of(job.document)
     svg = render_fan_svg(support.fan, support)
     return JobResult(None, svg)
 
@@ -298,8 +283,6 @@ _HANDLERS = {
     "realize": _cmd_realize,
     "render": _cmd_render,
 }
-
-COMMANDS = tuple(_HANDLERS)
 
 
 def run_job(job: JobSpec) -> JobResult:
@@ -393,6 +376,15 @@ def _read_json(path) -> object:
         raise DocumentError(str(exc)) from None
 
 
+def _batch_options(command, flags: dict) -> dict:
+    """The job options a batch document's `flags` give: each key must be an
+    option of its command, decoded as `OPTIONS` says."""
+    for key in flags:
+        if key not in OPTIONS or command not in OPTIONS[key][0]:
+            raise DocumentError(f"{command} takes no flag {key!r}")
+    return {key: OPTIONS[key][1](value, key) for key, value in flags.items()}
+
+
 def _run_batch(directory: str) -> int:
     base = Path(directory)
     files = sorted(base.glob("*.json"))
@@ -408,16 +400,13 @@ def _run_batch(directory: str) -> int:
             doc = _read_json(path)
             if not isinstance(doc, dict) or not isinstance(doc.get("flags", {}), dict):
                 raise DocumentError("a job document is an object with an object of 'flags'")
-            flags = doc.get("flags", {})
+            command = doc.get("command", "")
             job = JobSpec(
-                command=doc.get("command", ""),
+                command=command,
                 document=doc.get("input", {}),
                 output=str(path.with_name(path.stem + ".out.json")),
-                m_max=decode_int(flags.get("m_max", 8), "m_max"),
-                negate=decode_bool(flags.get("negate", False), "negate"),
-                expect_realizable=decode_bool(flags.get("expect_realizable", False),
-                                              "expect_realizable"),
-                svg=str(path.with_suffix(".svg")) if doc.get("command") == "render" else None,
+                svg=str(path.with_suffix(".svg")) if command == "render" else None,
+                **_batch_options(command, doc.get("flags", {})),
             )
             result = run_job(job)
             criterion_failed |= result.exit_code == 3
@@ -436,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", metavar="DIR",
                         help="process every job document in DIR, one after another")
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--input", metavar="PATH",
                        help="input document (default: stdin)")
@@ -446,15 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("fan", "render"):
             p.add_argument("--svg", metavar="PATH",
                            help="also write an SVG rendering (dimension 2)")
-        if name == "volume":
-            p.add_argument("--m-max", type=int, default=8, dest="m_max")
-        if name == "polytope":
-            p.add_argument("--negate", action="store_true",
-                           help="use -D instead of D")
-        if name == "realize":
-            p.add_argument("--expect-realizable", action="store_true",
-                           dest="expect_realizable",
-                           help="exit 3 when the criterion fails")
+        for option, (commands, decode, help_text) in OPTIONS.items():
+            if name in commands:
+                kind = {"action": "store_true"} if decode is decode_bool else {"type": int}
+                p.add_argument("--" + option.replace("_", "-"), dest=option,
+                               default=argparse.SUPPRESS, help=help_text, **kind)
     return parser
 
 
@@ -477,9 +462,7 @@ def main(argv=None) -> int:
         output=args.output,
         svg=getattr(args, "svg", None),
         fmt=args.format,
-        m_max=getattr(args, "m_max", 8),
-        negate=getattr(args, "negate", False),
-        expect_realizable=getattr(args, "expect_realizable", False),
+        **{name: value for name, value in vars(args).items() if name in OPTIONS},
     )
     try:
         result = run_job(job)

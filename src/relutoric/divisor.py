@@ -45,7 +45,7 @@ from .exact_math import (
     vneg,
     vscale,
 )
-from .fan import Fan, Wall, cone_containing
+from .fan import Fan, Wall, build_relu_fan, cone_containing
 from .network import ValidatedNetwork, cleared_layers, linear_piece
 
 
@@ -159,8 +159,6 @@ def extract_support(net: ValidatedNetwork, fan: Fan) -> SupportFunction:
 
 
 def support_of_network(net: ValidatedNetwork) -> SupportFunction:
-    from .fan import build_relu_fan
-
     return extract_support(net, build_relu_fan(net))
 
 

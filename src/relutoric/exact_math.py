@@ -414,14 +414,14 @@ class RationalPolytope:
     with primitive integer outward normals, on the pivot coordinates of the
     affine hull (see :func:`convex_hull`); ``incidence`` holds,
     per facet, the indices of the vertices on it.  Both come from the
-    conversion that made the polytope.  A polytope built from vertices alone
-    leaves them None and gets them from :func:`convex_hull` when needed.
+    conversion that made the polytope; :func:`convex_hull` gives them for a
+    polytope known by its vertices.
     """
 
     dimension: int
     vertices: tuple[RatVec, ...]
-    facets: tuple[tuple[IntVec, Fraction], ...] | None = field(default=None, compare=False)
-    incidence: tuple[frozenset, ...] | None = field(default=None, compare=False)
+    facets: tuple[tuple[IntVec, Fraction], ...] = field(compare=False)
+    incidence: tuple[frozenset, ...] = field(compare=False)
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -479,11 +479,6 @@ def common_integer_scale(points) -> tuple[list[IntVec], int]:
     lcm of all their denominators, and that lcm."""
     mult = lcm(*[x.denominator for p in points for x in p])
     return [tuple(x.numerator * (mult // x.denominator) for x in p) for p in points], mult
-
-
-def _described(P: RationalPolytope) -> RationalPolytope:
-    """P itself when it carries its facets, else the hull of its vertices."""
-    return P if P.facets is not None else convex_hull(P.vertices)
 
 
 def lattice_point_count(P: RationalPolytope, m: int, interior: bool = False) -> int:
@@ -557,7 +552,7 @@ def _fibre_levels(P: RationalPolytope):
     levels = []
     for j in range(1, k + 1):
         if j == k:
-            facets = _described(P).facets
+            facets = P.facets
         elif j == 1:
             values = [v[0] for v in projected]
             facets = [((1,), max(values)), ((-1,), -min(values))]
@@ -592,7 +587,6 @@ def euclidean_volume(P: RationalPolytope) -> Fraction:
     """
     if P.is_empty() or P.affine_dimension() < P.dimension:
         return Fraction(0)
-    P = _described(P)
     n = P.dimension
     pts, mult = common_integer_scale(P.vertices)
     total = 0

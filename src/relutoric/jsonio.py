@@ -213,7 +213,8 @@ def decode_support(doc) -> SupportFunction:
 
 
 def decode_function(doc) -> SupportFunction:
-    """A function document: {"dim": n, "expr": ...} or {"dim", "fan", "slopes"}."""
+    """A function document: {"dim": n, "expr": ...} or {"dim", "fan", "slopes"},
+    where "dim", when given, must be the fan's dimension."""
     if not isinstance(doc, dict):
         raise DocumentError("function document must be an object")
     if "expr" in doc:
@@ -224,8 +225,27 @@ def decode_function(doc) -> SupportFunction:
             raise DocumentError(f"'expr' must be a string, got {doc['expr']!r}")
         return parse_and_compile(doc["expr"], dim)
     if "fan" in doc:
-        return decode_support(doc)
+        support = decode_support(doc)
+        if "dim" in doc and decode_int(doc["dim"], "dim") != support.fan.dim:
+            raise DocumentError(f"dim {doc['dim']} is not the fan's {support.fan.dim}")
+        return support
     raise DocumentError("function document needs 'expr' or 'fan'+'slopes'")
+
+
+def decode_input(doc) -> ValidatedNetwork | SupportFunction:
+    """The one network or function a job document holds: under a "network"
+    or "function" key, or as the document itself."""
+    if not isinstance(doc, dict):
+        raise DocumentError("input document must be a JSON object")
+    if "network" in doc:
+        return decode_network(doc["network"])
+    if "function" in doc:
+        return decode_function(doc["function"])
+    if "layers" in doc:
+        return decode_network(doc)
+    if "expr" in doc or "fan" in doc:
+        return decode_function(doc)
+    raise DocumentError("document contains neither a network nor a function")
 
 
 def encode_polytope(P: RationalPolytope) -> dict:

@@ -47,8 +47,8 @@ from .fan import (
 from .divisor import (
     SupportFunction,
     extract_support,
-    intersection_number,
     support_of_network,
+    wall_numbers,
 )
 from .network import ValidatedNetwork, shallow_network
 
@@ -142,35 +142,38 @@ def nonlinear_locus_hyperplanes(s: SupportFunction) -> tuple[Hyperplane, ...]:
     return tuple(Hyperplane(n, EXTENDED) for n in sorted(normals))
 
 
-def criterion_fan(s: SupportFunction) -> tuple[Fan, SupportFunction]:
-    """Central fan of the extended bend hyperplanes (synthetically augmented
-    when rank-deficient) carrying the transferred slopes.  When every wall
-    of s.fan lies on one of them and none cuts a cone of s.fan, each cone is
-    a cell: the canonical cones of s.fan, reassembled with the hyperplanes,
+def criterion_fan(s: SupportFunction) -> SupportFunction:
+    """s transferred onto the central fan of the extended bend hyperplanes
+    (synthetically augmented when rank-deficient).  When every wall of
+    s.fan lies on one of them and none cuts a cone of s.fan, each cone is a
+    cell: the canonical cones of s.fan, reassembled with the hyperplanes,
     are the arrangement's in its order, and keep s.slopes."""
     dim = s.fan.dim
     planes = _augmented(nonlinear_locus_hyperplanes(s), dim)
     normals = {h.normal for h in planes}
     if all(w.normal in normals for w in s.fan.walls) and not any(
             _split_cone(cone, n) for cone in s.fan.maximal_cones for n in normals):
-        fan = _assemble_fan(s.fan.maximal_cones, dim, planes)
-        return fan, SupportFunction(fan, s.slopes)
-    fan = central_fan(planes, dim)
-    return fan, transfer_support(s, fan)
+        return SupportFunction(_assemble_fan(s.fan.maximal_cones, dim, planes), s.slopes)
+    return transfer_support(s, central_fan(planes, dim))
+
+
+def hyperplane_groups(fan: Fan, numbers) -> tuple[HyperplaneGroup, ...]:
+    """The walls of `fan` by hyperplane (`wall_groups`), each with its walls'
+    entries of `numbers`, one per wall of the fan as `wall_numbers` gives."""
+    return tuple(HyperplaneGroup(normal,
+                                 tuple(fan.walls[i].generators for i in indices),
+                                 tuple(numbers[i] for i in indices))
+                 for normal, indices in wall_groups(fan))
 
 
 def criterion_check(cpwl) -> RealizabilityReport:
     """Wall-number criterion: realizable iff every extended hyperplane sees
     one single bend value across all of its walls.  Synthetic augmentation
     walls carry zero bend and are excluded from the groups."""
-    s = as_support(cpwl)
-    fan, refined = criterion_fan(s)
-    extended = {h.normal for h in fan.hyperplanes if h.kind == EXTENDED}
-    groups = tuple(
-        HyperplaneGroup(normal,
-                        tuple(fan.walls[i].generators for i in indices),
-                        tuple(intersection_number(refined, fan.walls[i]) for i in indices))
-        for normal, indices in wall_groups(fan) if normal in extended)
+    refined = criterion_fan(as_support(cpwl))
+    extended = {h.normal for h in refined.fan.hyperplanes if h.kind == EXTENDED}
+    groups = tuple(g for g in hyperplane_groups(refined.fan, wall_numbers(refined))
+                   if g.normal in extended)
     return RealizabilityReport(groups, refined=refined)
 
 

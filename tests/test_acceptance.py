@@ -115,7 +115,7 @@ def test_criterion_3_sixpiece_nonrealizable():
     assert report.witness.numbers == (F(-7), F(-1))
     # independent oracle: second-difference bend measurement across the two
     # walls of {y = 0} on the criterion fan
-    fan, refined = criterion_fan(s)
+    fan = criterion_fan(s).fan
     ast = parse_expression(SIXPIECE_EXPR, 2)
     oracle = {}
     for wall in fan.walls:
@@ -214,7 +214,7 @@ def test_criterion_7_affine_shift():
 def test_criterion_8_intersection_algebra():
     rng = random.Random(5003)
     golden = golden_support().fan
-    sixpiece_fan, _ = criterion_fan(parse_and_compile(SIXPIECE_EXPR, 2))
+    sixpiece_fan = criterion_fan(parse_and_compile(SIXPIECE_EXPR, 2)).fan
     for fan in (golden, sixpiece_fan):
         for _ in range(20):
             D = ToricDivisor(fan, tuple(rand_rational(rng) for _ in fan.rays))

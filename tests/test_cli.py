@@ -387,6 +387,24 @@ class TestBatch:
         assert lines == ["b-list.json: command must be a string, got ['fan']"]
         assert (jobs / "a-good.out.json").exists() and (jobs / "c-good.out.json").exists()
 
+    @pytest.mark.parametrize("command, key, value", [("volume", "m-max", 2),
+                                                     ("fan", "negate", True)])
+    def test_batch_flag_of_another_command(self, capsys, tmp_path, command, key, value):
+        # a misspelled flag, or another command's, used to run with the default
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "a-flag.json").write_text(json.dumps(
+            {"command": command, "input": GOLDEN_DOC, "flags": {key: value}}))
+        (jobs / "b-good.json").write_text(json.dumps(
+            {"command": "divisor", "input": GOLDEN_DOC}))
+        code = main(["--batch", str(jobs)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines == [f"a-flag.json: {command} takes no flag {key!r}"]
+        assert not (jobs / "a-flag.out.json").exists()
+        good = json.loads((jobs / "b-good.out.json").read_text())
+        assert good["ray_coefficients"] == [-1, -1, 0, 0, 0]
+
 
 ONE_CONE_DOC = {"dim": 2, "fan": {"dim": 2, "rays": [[1, 0], [0, 1]],
                                   "cones": [{"rays": [0, 1]}]},
@@ -418,6 +436,16 @@ class TestInputBoundary:
         code, err = run_error(capsys, tmp_path, "divisor", doc)
         assert code == 2
         assert err.startswith("error: cone refers to ray 5; there are 3 rays")
+
+    @pytest.mark.parametrize("dim, line", [
+        (3, "error: dim 3 is not the fan's 2\n"),
+        ("x", "error: dim must be an integer, got 'x'\n"),
+    ], ids=["other-dimension", "not-an-integer"])
+    def test_outer_dim_of_a_fan_document(self, capsys, tmp_path, dim, line):
+        doc = {"dim": dim, "fan": {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                   "cones": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+               "slopes": [[1, 2]] * 4}
+        assert run_error(capsys, tmp_path, "divisor", doc) == (2, line)
 
     def test_dimension_one_network(self, capsys, tmp_path):
         doc = {"architecture": [1, 2, 1], "layers": [[[1], [-2]], [[1, 1]]]}

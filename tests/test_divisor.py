@@ -464,8 +464,8 @@ class TestEhrhartEstimate:
         assert all(a > b for a, b in zip(seq, seq[1:]))
 
     def test_point_tends_to_zero(self):
-        from relutoric.exact_math import RationalPolytope
-        P = RationalPolytope(2, ((F(0), F(0)),))
+        from relutoric.exact_math import convex_hull
+        P = convex_hull([(F(0), F(0))])
         seq = ehrhart_volume_estimate(P, 4)
         assert seq == (F(2), F(1, 2), F(2, 9), F(1, 8))
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from relutoric.divisor import ehrhart_volume_estimate
 from relutoric.errors import RankDeficient, ZeroVector
 from relutoric.exact_math import (
-    RationalPolytope,
     convex_hull,
     euclidean_volume,
     independent_rows,
@@ -189,12 +188,12 @@ class TestLatticeCount:
             assert lattice_point_count(TRIANGLE, m) == triangle_count_oracle(m)
 
     def test_point(self):
-        point = RationalPolytope(2, ((F(0), F(0)),))
+        point = convex_hull([(F(0), F(0))])
         for m in (1, 2, 7):
             assert lattice_point_count(point, m) == 1
 
     def test_non_lattice_point(self):
-        point = RationalPolytope(2, ((F(1, 2), F(0)),))
+        point = convex_hull([(F(1, 2), F(0))])
         assert lattice_point_count(point, 1) == 0
         assert lattice_point_count(point, 2) == 1
 
@@ -233,7 +232,7 @@ def reference_lattice_point_count(P, m, interior=False):
     lift = _affine_lift(base, dirs, cols, P.dimension)
     ranges = [range(ceil(min(m * v[c] for v in P.vertices)),
                     floor(max(m * v[c] for v in P.vertices)) + 1) for c in cols]
-    facets = (P if P.facets is not None else convex_hull(P.vertices)).facets
+    facets = P.facets
     count = 0
     for y in itertools.product(*ranges):
         if any(vdot(n, y) > m * c or interior and vdot(n, y) == m * c for n, c in facets):
@@ -331,8 +330,8 @@ class TestFibreCount:
             assert reference_lattice_point_count(P, m, interior=True) == expected
 
     def test_single_point_is_its_own_interior(self):
-        assert lattice_point_count(RationalPolytope(2, ((F(1), F(2)),)), 3, True) == 1
-        assert lattice_point_count(RationalPolytope(2, ((F(1, 3), F(2)),)), 2, True) == 0
+        assert lattice_point_count(convex_hull([(F(1), F(2))]), 3, True) == 1
+        assert lattice_point_count(convex_hull([(F(1, 3), F(2))]), 2, True) == 0
 
 
 @st.composite

@@ -34,6 +34,9 @@
 - One shallow constructor: `network.shallow_network` is used only by
   `network.reduce_shallow` and `realizability.synthesize_shallow`, so
   neither builds a net, the empty one included, by a route of its own.
+- One input boundary: no module but `jsonio` calls `decode_network` or
+  `decode_function`, so every job document decodes through
+  `jsonio.decode_input`.
 """
 
 from __future__ import annotations
@@ -193,6 +196,11 @@ def test_one_realize_pipeline():
 
 def test_one_shallow_constructor():
     assert users("shallow_network") == SHALLOW_NETWORK_USERS
+
+
+@pytest.mark.parametrize("name", ["decode_network", "decode_function"])
+def test_one_input_boundary(name):
+    assert {user.split(".")[0] for user in users(name)} == {"jsonio"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
