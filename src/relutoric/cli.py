@@ -7,9 +7,14 @@ that cannot be written, 3 criterion failure under `realize
 --expect-realizable`.  A batch exits 2 when any document failed, else 3
 when any job exited 3.
 
-A batch document is {"command", "input", "flags"}.  Its `flags` are its
-command's own options (`OPTIONS`) under their JobSpec names, such as
-{"m_max": 3} for `volume`; a flag its command does not take is an error.
+The command table `_HANDLERS` names the input each command reads, which
+`_read` decodes: a network (a function document is an error), a support
+function (a net's through `support_of_network`) or a fan (a net's ReLU
+fan).  Each option's `OPTIONS` decoder checks its value from the command
+line or a batch flag before the document is decoded.  A batch document is
+{"command", "input", "flags"}; its `flags` are its command's own options
+under their JobSpec names, such as {"m_max": 3} for `volume`, and any
+other flag is an error.
 
 One process builds the argument parser once, on its first `main` call;
 parsing keeps no state between calls.
@@ -38,7 +43,7 @@ from .divisor import (
     wall_curve,
     wall_numbers,
 )
-from .fan import build_relu_fan, validate_fan
+from .fan import Fan, build_relu_fan, validate_fan
 from .jsonio import (
     decode_bool,
     decode_input,
@@ -51,7 +56,8 @@ from .jsonio import (
     encode_rational,
     encode_vector,
 )
-from .network import NeuronId, affine_shift, evaluate, neuron_value, reduce_shallow
+from .network import (NeuronId, ValidatedNetwork, affine_shift, evaluate, neuron_value,
+                      reduce_shallow)
 from .realizability import analyze, hyperplane_groups
 from .svg import render_fan_svg
 
@@ -69,11 +75,18 @@ class JobSpec:
     expect_realizable: bool = False
 
 
+def _decode_m_max(value, what: str) -> int:
+    m_max = decode_int(value, what)
+    if m_max < 1:
+        raise DocumentError(f"{what} must be at least 1, got {m_max}")
+    return m_max
+
+
 # Each job option under its JobSpec field name: the commands that take it,
-# the decoder of its batch flag and its --help text.  On the command line it
-# is --name with dashes; a boolean is a switch, an integer takes a value.
+# the decoder of its value and its --help text.  On the command line it is
+# --name with dashes; a boolean is a switch, an integer takes a value.
 OPTIONS = {
-    "m_max": (("volume",), decode_int, None),
+    "m_max": (("volume",), _decode_m_max, None),
     "negate": (("polytope",), decode_bool, "use -D instead of D"),
     "expect_realizable": (("realize",), decode_bool, "exit 3 when the criterion fails"),
 }
@@ -90,24 +103,34 @@ class JobResult:
 # input handling
 # ---------------------------------------------------------------------------
 
-def _support_of(document: dict) -> SupportFunction:
-    decoded = decode_input(document)
-    return decoded if isinstance(decoded, SupportFunction) else support_of_network(decoded)
-
-
-def _require_network(document: dict):
+def _read(document, kind):
+    """The `ValidatedNetwork`, `SupportFunction` or `Fan` a job document
+    gives a command of that kind."""
     decoded = decode_input(document)
     if isinstance(decoded, SupportFunction):
-        raise DocumentError("this command needs a network document")
-    return decoded
+        if kind is ValidatedNetwork:
+            raise DocumentError("this command needs a network document")
+        return decoded.fan if kind is Fan else decoded
+    if kind is Fan:
+        return build_relu_fan(decoded)
+    return decoded if kind is ValidatedNetwork else support_of_network(decoded)
+
+
+def _options(command, given: dict) -> dict:
+    """The job options `given` under their JobSpec names, from the command
+    line or from a batch document's `flags`: each must be an option of its
+    command, decoded as `OPTIONS` says."""
+    for key in given:
+        if key not in OPTIONS or command not in OPTIONS[key][0]:
+            raise DocumentError(f"{command} takes no flag {key!r}")
+    return {key: OPTIONS[key][1](value, key) for key, value in given.items()}
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_eval(job: JobSpec) -> JobResult:
-    net = _require_network(job.document)
+def _cmd_eval(job: JobSpec, net: ValidatedNetwork) -> JobResult:
     points = job.document.get("points")
     if not isinstance(points, list) or not points:
         raise DocumentError("eval needs a nonempty 'points' list")
@@ -127,9 +150,7 @@ def _cmd_eval(job: JobSpec) -> JobResult:
     return JobResult({"values": [encode_rational(v) for v in values]})
 
 
-def _cmd_fan(job: JobSpec) -> JobResult:
-    decoded = decode_input(job.document)
-    fan = decoded.fan if isinstance(decoded, SupportFunction) else build_relu_fan(decoded)
+def _cmd_fan(job: JobSpec, fan: Fan) -> JobResult:
     report = validate_fan(fan)
     payload = encode_fan(fan)
     payload["complete"] = report.complete
@@ -138,8 +159,7 @@ def _cmd_fan(job: JobSpec) -> JobResult:
     return JobResult(payload, svg)
 
 
-def _cmd_divisor(job: JobSpec) -> JobResult:
-    support = _support_of(job.document)
+def _cmd_divisor(job: JobSpec, support: SupportFunction) -> JobResult:
     D = divisor_coefficients(support)
     return JobResult({
         "rays": [list(r) for r in support.fan.rays],
@@ -148,8 +168,7 @@ def _cmd_divisor(job: JobSpec) -> JobResult:
     })
 
 
-def _cmd_intersect(job: JobSpec) -> JobResult:
-    support = _support_of(job.document)
+def _cmd_intersect(job: JobSpec, support: SupportFunction) -> JobResult:
     fan = support.fan
     numbers = wall_numbers(support)
     walls = [{"generators": [list(g) for g in wall.generators],
@@ -166,8 +185,7 @@ def _cmd_intersect(job: JobSpec) -> JobResult:
     return JobResult({"walls": walls, "groups": groups})
 
 
-def _cmd_classify(job: JobSpec) -> JobResult:
-    support = _support_of(job.document)
+def _cmd_classify(job: JobSpec, support: SupportFunction) -> JobResult:
     report = classify_convexity(support)
     return JobResult({
         "convex": report.convex,
@@ -179,27 +197,24 @@ def _cmd_classify(job: JobSpec) -> JobResult:
     })
 
 
-def _cmd_polytope(job: JobSpec) -> JobResult:
-    support = _support_of(job.document)
+def _cmd_polytope(job: JobSpec, support: SupportFunction) -> JobResult:
+    if "negate" in job.document:
+        raise DocumentError("polytope takes --negate, not a 'negate' key in the document")
     D = divisor_coefficients(support)
-    if decode_bool(job.document.get("negate", False), "negate") or job.negate:
+    if job.negate:
         D = scale_divisor(D, -1)
     return JobResult(encode_polytope(polytope_of_divisor(D)))
 
 
-def _cmd_newton(job: JobSpec) -> JobResult:
-    support = _support_of(job.document)
+def _cmd_newton(job: JobSpec, support: SupportFunction) -> JobResult:
     return JobResult(encode_polytope(newton_polytope(support)))
 
 
-def _cmd_volume(job: JobSpec) -> JobResult:
+def _cmd_volume(job: JobSpec, support: SupportFunction) -> JobResult:
     """For a support with no positive bend the Newton polytope is the
     section polytope of the negated divisor up to sign (`newton_polytope`),
     so `newton_volume` is the volume already computed; it is null when
     `newton` would fail."""
-    if job.m_max < 1:
-        raise DocumentError(f"m_max must be at least 1, got {job.m_max}")
-    support = _support_of(job.document)
     P = polytope_of_divisor(scale_divisor(divisor_coefficients(support), -1))
     volume = encode_rational(mixed_volume(P))
     payload = {
@@ -216,13 +231,11 @@ def _cmd_volume(job: JobSpec) -> JobResult:
     return JobResult(payload)
 
 
-def _cmd_reduce(job: JobSpec) -> JobResult:
-    net = _require_network(job.document)
+def _cmd_reduce(job: JobSpec, net: ValidatedNetwork) -> JobResult:
     return JobResult(encode_network(reduce_shallow(net)))
 
 
-def _cmd_shift(job: JobSpec) -> JobResult:
-    net = _require_network(job.document)
+def _cmd_shift(job: JobSpec, net: ValidatedNetwork) -> JobResult:
     g = job.document.get("g")
     if not isinstance(g, dict) or "slope" not in g:
         raise DocumentError("shift needs 'g': {'slope': [...], 'constant': r}")
@@ -231,8 +244,7 @@ def _cmd_shift(job: JobSpec) -> JobResult:
     return JobResult(encode_network(affine_shift(net, slope, constant)))
 
 
-def _cmd_realize(job: JobSpec) -> JobResult:
-    support = _support_of(job.document)
+def _cmd_realize(job: JobSpec, support: SupportFunction) -> JobResult:
     report = analyze(support)
     witness, synthesis = report.witness, report.synthesis
     payload = {
@@ -263,35 +275,35 @@ def _cmd_realize(job: JobSpec) -> JobResult:
     return JobResult(payload, exit_code=code)
 
 
-def _cmd_render(job: JobSpec) -> JobResult:
-    support = _support_of(job.document)
+def _cmd_render(job: JobSpec, support: SupportFunction) -> JobResult:
     svg = render_fan_svg(support.fan, support)
     return JobResult(None, svg)
 
 
+# Each command: its handler and the input `_read` gives it.
 _HANDLERS = {
-    "eval": _cmd_eval,
-    "fan": _cmd_fan,
-    "divisor": _cmd_divisor,
-    "intersect": _cmd_intersect,
-    "classify": _cmd_classify,
-    "polytope": _cmd_polytope,
-    "newton": _cmd_newton,
-    "volume": _cmd_volume,
-    "reduce": _cmd_reduce,
-    "shift": _cmd_shift,
-    "realize": _cmd_realize,
-    "render": _cmd_render,
+    "eval": (_cmd_eval, ValidatedNetwork),
+    "fan": (_cmd_fan, Fan),
+    "divisor": (_cmd_divisor, SupportFunction),
+    "intersect": (_cmd_intersect, SupportFunction),
+    "classify": (_cmd_classify, SupportFunction),
+    "polytope": (_cmd_polytope, SupportFunction),
+    "newton": (_cmd_newton, SupportFunction),
+    "volume": (_cmd_volume, SupportFunction),
+    "reduce": (_cmd_reduce, ValidatedNetwork),
+    "shift": (_cmd_shift, ValidatedNetwork),
+    "realize": (_cmd_realize, SupportFunction),
+    "render": (_cmd_render, SupportFunction),
 }
 
 
 def run_job(job: JobSpec) -> JobResult:
     if not isinstance(job.command, str):
         raise DocumentError(f"command must be a string, got {job.command!r}")
-    handler = _HANDLERS.get(job.command)
-    if handler is None:
+    if job.command not in _HANDLERS:
         raise DocumentError(f"unknown command {job.command!r}")
-    return handler(job)
+    handler, kind = _HANDLERS[job.command]
+    return handler(job, _read(job.document, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +388,6 @@ def _read_json(path) -> object:
         raise DocumentError(str(exc)) from None
 
 
-def _batch_options(command, flags: dict) -> dict:
-    """The job options a batch document's `flags` give: each key must be an
-    option of its command, decoded as `OPTIONS` says."""
-    for key in flags:
-        if key not in OPTIONS or command not in OPTIONS[key][0]:
-            raise DocumentError(f"{command} takes no flag {key!r}")
-    return {key: OPTIONS[key][1](value, key) for key, value in flags.items()}
-
-
 def _run_batch(directory: str) -> int:
     base = Path(directory)
     files = sorted(base.glob("*.json"))
@@ -406,7 +409,7 @@ def _run_batch(directory: str) -> int:
                 document=doc.get("input", {}),
                 output=str(path.with_name(path.stem + ".out.json")),
                 svg=str(path.with_suffix(".svg")) if command == "render" else None,
-                **_batch_options(command, doc.get("flags", {})),
+                **_options(command, doc.get("flags", {})),
             )
             result = run_job(job)
             criterion_failed |= result.exit_code == 3
@@ -456,15 +459,16 @@ def main(argv=None) -> int:
     except (OSError, DocumentError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    job = JobSpec(
-        command=args.command,
-        document=document,
-        output=args.output,
-        svg=getattr(args, "svg", None),
-        fmt=args.format,
-        **{name: value for name, value in vars(args).items() if name in OPTIONS},
-    )
+    given = {name: value for name, value in vars(args).items() if name in OPTIONS}
     try:
+        job = JobSpec(
+            command=args.command,
+            document=document,
+            output=args.output,
+            svg=getattr(args, "svg", None),
+            fmt=args.format,
+            **_options(args.command, given),
+        )
         result = run_job(job)
         _emit(job, result)
     except RelutoricError as exc:

@@ -1,15 +1,18 @@
 """JSON document encoding and decoding.
 
-Exactness forbids JSON floats: rationals travel as integers or as strings
-"p/q".  Their precision is arbitrary up to the interpreter's limit on the
-digits of an integer string (`sys.get_int_max_str_digits()`, 4300 by
-default): a longer number in a document cannot be read, and a report that
-would hold one is a DocumentError.  All emitted dictionaries are built in a
-fixed key order so serialized reports are byte-stable.
+Exactness forbids JSON floats: rationals travel as integers or as ASCII
+strings "p" or "p/q" with q > 0; a decimal point or an exponent, which
+lets a short string stand for a huge number, is not read.  Their precision
+is arbitrary up to the interpreter's limit on the digits of an integer
+string (`sys.get_int_max_str_digits()`, 4300 by default): a longer number
+in a document cannot be read, and a report that would hold one is a
+DocumentError.  All emitted dictionaries are built in a fixed key order so
+serialized reports are byte-stable.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DocumentError, UnsupportedDimension
@@ -30,16 +33,19 @@ def encode_rational(value: Fraction):
         raise DocumentError(f"cannot write the report: {exc}") from None
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
 def decode_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad rational {value!r}: {exc}") from exc
+            return Fraction(*map(int, value.split("/")))
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise DocumentError(f"bad rational {value!r}: {exc}") from None
     raise DocumentError(f"expected int or 'p/q' string, got {value!r}")
 
 

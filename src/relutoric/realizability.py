@@ -23,6 +23,9 @@ a common refinement and stays the reference for nets of other origin.
 `analyze` is the one realize pipeline (criterion, synthesis, verification),
 and the CLI's `realize` reports what it returns.  A synthesized net that
 fails verification is reported in `Synthesis.verified`, not raised.
+
+Every entry point takes the function as a `SupportFunction`; a network
+becomes one through `divisor.support_of_network` before it gets here.
 """
 
 from __future__ import annotations
@@ -79,11 +82,11 @@ class Synthesis:
 @dataclass(frozen=True)
 class RealizabilityReport:
     """`refined` is the function transferred onto the criterion fan, kept so
-    that a synthesized net can be verified without building another fan."""
+    that a net is synthesized and verified without building another fan."""
 
     groups: tuple[HyperplaneGroup, ...]
+    refined: SupportFunction = field(compare=False)
     synthesis: Synthesis | None = None
-    refined: SupportFunction | None = field(default=None, compare=False)
 
     @property
     def witness(self) -> HyperplaneGroup | None:
@@ -93,15 +96,6 @@ class RealizabilityReport:
     @property
     def realizable(self) -> bool:
         return self.witness is None
-
-
-def as_support(obj) -> SupportFunction:
-    """Accept a SupportFunction or a ValidatedNetwork."""
-    if isinstance(obj, SupportFunction):
-        return obj
-    if isinstance(obj, ValidatedNetwork):
-        return support_of_network(obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a CPWL input")
 
 
 def transfer_support(s: SupportFunction, fan: Fan) -> SupportFunction:
@@ -166,30 +160,27 @@ def hyperplane_groups(fan: Fan, numbers) -> tuple[HyperplaneGroup, ...]:
                  for normal, indices in wall_groups(fan))
 
 
-def criterion_check(cpwl) -> RealizabilityReport:
+def criterion_check(s: SupportFunction) -> RealizabilityReport:
     """Wall-number criterion: realizable iff every extended hyperplane sees
     one single bend value across all of its walls.  Synthetic augmentation
     walls carry zero bend and are excluded from the groups."""
-    refined = criterion_fan(as_support(cpwl))
+    refined = criterion_fan(s)
     extended = {h.normal for h in refined.fan.hyperplanes if h.kind == EXTENDED}
     groups = tuple(g for g in hyperplane_groups(refined.fan, wall_numbers(refined))
                    if g.normal in extended)
-    return RealizabilityReport(groups, refined=refined)
+    return RealizabilityReport(groups, refined)
 
 
-def synthesize_shallow(cpwl, report: RealizabilityReport | None = None) -> ValidatedNetwork:
+def synthesize_shallow(report: RealizabilityReport) -> ValidatedNetwork:
     """Explicit shallow network from a passing criterion report: first-layer
     rows are the sign-canonical hyperplane normals, output weights are the
     negated common wall numbers.  A function with no bends is linear: the
     net then has an empty hidden layer."""
-    s = as_support(cpwl)
-    if report is None:
-        report = criterion_check(s)
     if not report.realizable:
         raise CriterionFailed(
             f"hyperplane {report.witness.normal} has unequal wall numbers "
             f"{sorted(set(report.witness.numbers))}")
-    return shallow_network(s.fan.dim, [g.normal for g in report.groups],
+    return shallow_network(report.refined.fan.dim, [g.normal for g in report.groups],
                            [-g.numbers[0] for g in report.groups])
 
 
@@ -214,13 +205,12 @@ def _linear_difference(f: SupportFunction, g: SupportFunction) -> tuple[bool, Ra
     return equal, correction
 
 
-def verify_up_to_linear(cpwl, net: ValidatedNetwork) -> tuple[bool, RatVec]:
+def verify_up_to_linear(f: SupportFunction, net: ValidatedNetwork) -> tuple[bool, RatVec]:
     """Exact comparison of a function and a network modulo linear terms.
 
     Fits g as the slope difference on one maximal cone of a common
     refinement, then asserts the same difference on every other cone.
     """
-    f = as_support(cpwl)
     return _linear_difference(*common_refinement([f, support_of_network(net)]))
 
 
@@ -234,15 +224,14 @@ def verify_synthesis(report: RealizabilityReport,
     return _linear_difference(f, extract_support(net, f.fan))
 
 
-def analyze(cpwl) -> RealizabilityReport:
+def analyze(s: SupportFunction) -> RealizabilityReport:
     """criterion_check plus synthesis and verification when realizable.
 
     This is the pipeline the CLI's `realize` reports.  A net that fails
     verification is returned with `synthesis.verified` false, not raised."""
-    s = as_support(cpwl)
     report = criterion_check(s)
     if not report.realizable:
         return report
-    net = synthesize_shallow(s, report)
+    net = synthesize_shallow(report)
     ok, correction = verify_synthesis(report, net)
     return replace(report, synthesis=Synthesis(net, correction, ok))

@@ -159,7 +159,7 @@ def test_criterion_5_round_trip_synthesis():
         s = support_of_network(net)
         report = criterion_check(s)
         assert report.realizable, (net.layers, report.witness)
-        synth = synthesize_shallow(s, report)
+        synth = synthesize_shallow(report)
         ok, correction = verify_up_to_linear(s, synth)
         assert ok, (net.layers, synth.layers)
 

@@ -1,14 +1,16 @@
 import json
 import random
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from relutoric import realizability
-from relutoric.cli import build_parser, main
+from relutoric.cli import _HANDLERS, build_parser, main
 from relutoric.divisor import newton_polytope, support_of_network
 from relutoric.exact_math import mixed_volume
-from relutoric.jsonio import encode_rational
+from relutoric.jsonio import decode_function, encode_fan, encode_rational, encode_vector
 from relutoric.network import network
 from conftest import GOLDEN_LAYERS, SIXPIECE_EXPR
 
@@ -128,25 +130,31 @@ class TestPolytopeAndVolume:
 
     @pytest.mark.parametrize("m_max", ["0", "-5"])
     def test_m_max_below_one_rejected(self, capsys, tmp_path, m_max):
+        # the option is checked before the document, so an undecodable one
+        # reports the m_max line too
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(GOLDEN_DOC))
-        code = main(["volume", "--input", str(path), "--m-max", m_max])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: m_max must be at least 1, got {m_max}\n"
+        for doc in (GOLDEN_DOC, {"nonsense": True}):
+            path.write_text(json.dumps(doc))
+            code = main(["volume", "--input", str(path), "--m-max", m_max])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: m_max must be at least 1, got {m_max}\n"
 
     def test_batch_m_max_below_one_rejected(self, capsys, tmp_path):
         jobs = tmp_path / "jobs"
         jobs.mkdir()
-        for name, m_max in (("a-zero", 0), ("b-good", 2), ("c-negative", -5)):
+        for name, m_max, doc in (("a-zero", 0, GOLDEN_DOC), ("b-good", 2, GOLDEN_DOC),
+                                 ("c-negative", -5, GOLDEN_DOC),
+                                 ("d-undecodable", 0, {"nonsense": True})):
             (jobs / f"{name}.json").write_text(json.dumps(
-                {"command": "volume", "input": GOLDEN_DOC, "flags": {"m_max": m_max}}))
+                {"command": "volume", "input": doc, "flags": {"m_max": m_max}}))
         code = main(["--batch", str(jobs)])
         lines = capsys.readouterr().err.splitlines()
         assert code == 2
         assert lines == ["a-zero.json: m_max must be at least 1, got 0",
-                         "c-negative.json: m_max must be at least 1, got -5"]
+                         "c-negative.json: m_max must be at least 1, got -5",
+                         "d-undecodable.json: m_max must be at least 1, got 0"]
         assert json.loads((jobs / "b-good.out.json").read_text())["ehrhart"] == [6, 3]
         assert not (jobs / "a-zero.out.json").exists()
 
@@ -619,10 +627,99 @@ class TestInputBoundary:
         assert lines == [f"job.json: {flag} must be true or false, got 'false'"]
         assert not (jobs / "job.out.json").exists()
 
-    def test_negate_key_must_be_boolean(self, capsys, tmp_path):
-        code, err = run_error(capsys, tmp_path, "polytope", dict(GOLDEN_DOC, negate="false"))
+    @pytest.mark.parametrize("value", [True, False, "false"])
+    def test_negate_key_is_rejected(self, capsys, tmp_path, value):
+        # the key used to negate the polytope beside --negate; a document
+        # that still carries it fails instead of silently changing sign
+        code, err = run_error(capsys, tmp_path, "polytope", dict(GOLDEN_DOC, negate=value))
         assert code == 2
-        assert err.startswith("error: negate must be true or false, got 'false'")
+        assert err == "error: polytope takes --negate, not a 'negate' key in the document\n"
+
+    @pytest.mark.parametrize("text", ["1e1000000000", "1.5", "1e5", " 1", "1_0", "١",
+                                      "1/-2", "1/0", "1/00"])
+    def test_only_documented_rational_strings(self, capsys, tmp_path, text):
+        # Fraction also reads decimal and exponent forms, and "1e1000000000"
+        # is an integer of 10**9 digits
+        for doc in (dict(GOLDEN_DOC, points=[[text, 1]]),
+                    {"layers": [[[text, 1]], [[1]]], "points": [[1, 1]]}):
+            start = time.perf_counter()
+            code, err = run_error(capsys, tmp_path, "eval", doc)
+            assert time.perf_counter() - start < 1
+            assert (code, err) == (2, f"error: expected int or 'p/q' string, got {text!r}\n")
+
+
+# a convex shallow net, which every command takes, and the
+# {"fan", "slopes"} document of its support
+SHALLOW_LAYERS = [[[1, 0], [0, 1], [1, -1]], [[1, 2, "1/2"]]]
+SHALLOW_DOC = {"architecture": [2, 3, 1], "layers": SHALLOW_LAYERS}
+SHALLOW_SUPPORT = support_of_network(network(SHALLOW_LAYERS))
+SHALLOW_SUPPORT_DOC = {"fan": encode_fan(SHALLOW_SUPPORT.fan),
+                       "slopes": [encode_vector(m) for m in SHALLOW_SUPPORT.slopes]}
+# what a command needs besides its network or function
+EXTRAS = {"eval": {"points": [[2, 1], ["1/2", -3]]}, "shift": {"g": {"slope": [1, 0]}}}
+
+
+def _without_provenance(command, report):
+    """A fan document carries no wall provenance, so `intersect`'s
+    provenance field and `render`'s wall colours are left out."""
+    if command == "intersect":
+        payload = json.loads(report)
+        for wall in payload["walls"]:
+            del wall["provenance"]
+        return payload
+    if command == "render":
+        return re.sub(r'stroke="#[0-9a-f]{6}"', 'stroke=""', report)
+    return report
+
+
+class TestCommandTable:
+    """Each command reads the input its `_HANDLERS` row names, on the command
+    line and in a batch alike."""
+
+    def _command_line(self, capsys, tmp_path, command, name, doc):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.report"
+        path.write_text(json.dumps(doc))
+        code = main([command, "--input", str(path), "--output", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        return code, lines, out.read_text() if out.exists() else None
+
+    def _batch(self, capsys, tmp_path, command, docs):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        for name, doc in docs.items():
+            (jobs / f"{name}.json").write_text(json.dumps({"command": command, "input": doc}))
+        code = main(["--batch", str(jobs)])
+        lines = capsys.readouterr().err.splitlines()
+        reports = {path.name.split(".")[0]: path.read_text()
+                   for pattern in ("*.out.json", "*.svg") for path in jobs.glob(pattern)}
+        return code, lines, reports
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_network_and_function_documents(self, capsys, tmp_path, command):
+        extras = EXTRAS.get(command, {})
+        docs = {"net": dict(SHALLOW_DOC, **extras),
+                "function": dict(SHALLOW_SUPPORT_DOC, **extras)}
+        cli = {name: self._command_line(capsys, tmp_path, command, name, doc)
+               for name, doc in docs.items()}
+        code, lines, reports = self._batch(capsys, tmp_path, command, docs)
+        assert cli["net"][:2] == (0, [])
+        if command in ("eval", "reduce", "shift"):
+            assert cli["function"] == (
+                2, ["error: this command needs a network document"], None)
+            assert (code, lines) == (
+                2, ["function.json: this command needs a network document"])
+        else:
+            assert cli["function"][:2] == (code, lines) == (0, [])
+            net_report, function_report = cli["net"][2], cli["function"][2]
+            if command == "fan":
+                fan = decode_function(SHALLOW_SUPPORT_DOC).fan
+                assert json.loads(function_report) == dict(
+                    encode_fan(fan), complete=True, valid=True)
+            else:
+                assert (_without_provenance(command, function_report)
+                        == _without_provenance(command, net_report))
+        assert reports == {name: report for name, (_, _, report) in cli.items()
+                           if report is not None}
 
 
 class TestParserReuse:

@@ -31,7 +31,7 @@ DOCUMENTS = [
     ("divisor", FAN),
     ("intersect", EXPR),
     ("classify", GOLDEN),
-    ("polytope", dict(FAN, negate=True)),
+    ("polytope", FAN),
     ("newton", {"function": CONVEX}),
     ("volume", CONVEX),
     ("reduce", {"layers": [[[1, 2], [2, 4], [0, 0]], [[1, 1, 5]]]}),
@@ -40,7 +40,7 @@ DOCUMENTS = [
     ("render", GOLDEN),
 ]
 HUGE = 10**30
-ATOMS = [None, "1/0", [], {}, 1.5, HUGE, -1, 0, True, "x"]
+ATOMS = [None, "1/0", [], {}, 1.5, HUGE, -1, 0, True, "x", "1e1000000000"]
 MUTATIONS_PER_DOCUMENT = 15
 
 

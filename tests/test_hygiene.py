@@ -37,6 +37,13 @@
 - One input boundary: no module but `jsonio` calls `decode_network` or
   `decode_function`, so every job document decodes through
   `jsonio.decode_input`.
+- One command table: `decode_input` is called only by `cli._read`, which
+  gives each command the input its `_HANDLERS` row names, so no handler
+  decodes or converts a document of its own.
+- One conversion of a net to a function: `support_of_network` is called
+  only by `cli._read` and `realizability.verify_up_to_linear`, and no
+  module defines `as_support` again, so the realize entry points take a
+  `SupportFunction` and nothing dispatches on the input's type.
 """
 
 from __future__ import annotations
@@ -158,6 +165,15 @@ PULL_BACK_USERS = {"network.linear_piece", "fan.build_relu_fan"}
 SHALLOW_NETWORK_USERS = {"network.reduce_shallow", "realizability.synthesize_shallow"}
 
 
+def defines(tree: ast.Module, name: str) -> list[int]:
+    """Lines where `name` is bound by a def, a class or an assignment."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name == name)
+            or (isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Store))]
+
+
 def users(name: str) -> set[str]:
     return {f"{path.stem}.{scope}" for path in SOURCES
             for scope, _ in name_uses(_tree(path), name)}
@@ -201,6 +217,16 @@ def test_one_shallow_constructor():
 @pytest.mark.parametrize("name", ["decode_network", "decode_function"])
 def test_one_input_boundary(name):
     assert {user.split(".")[0] for user in users(name)} == {"jsonio"}
+
+
+def test_one_command_table():
+    assert users("decode_input") == {"cli._read"}
+
+
+def test_one_conversion_of_a_net():
+    assert users("support_of_network") == {"cli._read", "realizability.verify_up_to_linear"}
+    assert [(path.name, line) for path in SOURCES
+            for line in defines(_tree(path), "as_support")] == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
@@ -263,6 +289,13 @@ class TestScanner:
                          "        return [wall_curve(self.fan, w) for w in self.walls]\n")
         assert name_uses(tree, "wall_curve") == [
             ("<module>", 2), ("inner", 5), ("outer", 7), ("lifts", 10)]
+
+    def test_finds_definitions(self):
+        tree = ast.parse("def as_support(x):\n    return x\n"
+                         "class as_support: pass\n"
+                         "as_support = None\n"
+                         "y = as_support(1)\n")
+        assert defines(tree, "as_support") == [1, 3, 4]
 
     def test_sources_found(self):
         assert {p.name for p in SOURCES} >= {"divisor.py", "fan.py", "realizability.py"}

@@ -97,14 +97,14 @@ class TestCriterion:
 
     def test_two_ramps_realizable(self):
         net = network([[[1, 0], [0, 1]], [[3, -2]]])
-        report = criterion_check(net)
+        report = criterion_check(support_of_network(net))
         assert report.realizable
         by_normal = {g.normal: g.numbers for g in report.groups}
         assert by_normal[(1, 0)] == (F(-3), F(-3))
         assert by_normal[(0, 1)] == (F(2), F(2))
 
     def test_max_xy_not_realizable(self, golden_net):
-        report = criterion_check(golden_net)
+        report = criterion_check(support_of_network(golden_net))
         assert not report.realizable
         assert not report.witness.passes
         by_normal = {g.normal: set(g.numbers) for g in report.groups}
@@ -126,7 +126,7 @@ class TestCriterion:
             rng.shuffle(order)
             net = network([[rows[i] for i in order],
                            [[weights[i] for i in order]], [[1]]])
-            report = criterion_check(net)
+            report = criterion_check(support_of_network(net))
             assert not report.realizable
             assert report.witness.normal == (0, 1)
 
@@ -146,28 +146,28 @@ class TestCriterion:
 
 class TestSynthesis:
     def test_two_ramps(self):
-        net = network([[[1, 0], [0, 1]], [[3, -2]]])
-        synth = synthesize_shallow(net)
+        s = support_of_network(network([[[1, 0], [0, 1]], [[3, -2]]]))
+        synth = synthesize_shallow(criterion_check(s))
         weight_of_row = dict(zip(synth.layers[0], synth.layers[1][0]))
         assert weight_of_row[(F(1), F(0))] == 3
         assert weight_of_row[(F(0), F(1))] == -2
-        ok, g = verify_up_to_linear(support_of_network(net), synth)
+        ok, g = verify_up_to_linear(s, synth)
         assert ok and g == (F(0), F(0))
 
     def test_two_diagonals(self):
-        net = network([[[1, 1], [1, -1]], [[1, 1]]])
-        synth = synthesize_shallow(net)
+        s = support_of_network(network([[[1, 1], [1, -1]], [[1, 1]]]))
+        synth = synthesize_shallow(criterion_check(s))
         weight_of_row = dict(zip(synth.layers[0], synth.layers[1][0]))
         assert weight_of_row[(F(1), F(1))] == 1
         assert weight_of_row[(F(1), F(-1))] == 1
-        ok, g = verify_up_to_linear(support_of_network(net), synth)
+        ok, g = verify_up_to_linear(s, synth)
         assert ok and g == (F(0), F(0))
 
     def test_orientation_absorbed_into_correction(self):
         # f = max{0, -x} embedded in the plane; the sign-canonical row is
         # (1, 0) and the flip is a linear correction g = -x
         net = network([[[-1, 0]], [[1]]])
-        report = analyze(net)
+        report = analyze(support_of_network(net))
         synth = report.synthesis
         assert synth.network.layers[0] == ((F(1), F(0)),)
         assert synth.network.layers[1] == ((F(1),),)
@@ -175,7 +175,7 @@ class TestSynthesis:
 
     def test_criterion_failed(self, golden_net):
         with pytest.raises(CriterionFailed):
-            synthesize_shallow(golden_net)
+            synthesize_shallow(criterion_check(support_of_network(golden_net)))
 
     def test_linear_function_degenerate_net(self):
         s = parse_and_compile("2*x1 - x2", 2)
@@ -192,7 +192,7 @@ class TestSynthesis:
         report = analyze(s)
         assert report.realizable
         assert report.synthesis.verified is False
-        assert report.synthesis.network == synthesize_shallow(s)
+        assert report.synthesis.network == synthesize_shallow(criterion_check(s))
 
 
 class TestVerifyUpToLinear:
@@ -232,7 +232,7 @@ class TestRandomRoundTrip:
             s = support_of_network(net)
             report = criterion_check(s)
             assert report.realizable, (net.layers, report.witness)
-            synth = synthesize_shallow(s, report)
+            synth = synthesize_shallow(report)
             ok, g = verify_up_to_linear(s, synth)
             assert ok
             # spot check: equality of values after adding the correction
@@ -248,7 +248,7 @@ class TestRandomRoundTrip:
             net = rand_shallow_net(rng, 2, max_width=4)
             s = support_of_network(net)
             report = criterion_check(s)
-            synth = synthesize_shallow(s, report)
+            synth = synthesize_shallow(report)
             synth_report = criterion_check(support_of_network(synth))
             ours = {g.normal: g.numbers[0] for g in report.groups}
             theirs = {g.normal: g.numbers[0] for g in synth_report.groups}
