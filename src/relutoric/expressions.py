@@ -11,8 +11,9 @@ Grammar (whitespace insensitive, rationals written p/q or as integers):
 min is canonicalized at parse time to -max(-...), so downstream code only
 ever sees max nodes.  Nonzero constants are rejected unless they cancel:
 the compiled function must be positively homogeneous.  Past that check a
-node is known by its slopes, and compilation reads them in integers off
-one table, cleared by their common denominator.
+node is known by its slopes.  Compilation cuts 2^d cells at each max node,
+as `fan.build_relu_fan` refines a net's layers, until the function is
+linear on every cone, and reads slopes in integers off one cleared table.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from fractions import Fraction
 
 from .errors import InhomogeneousConstant, ParseError, UnknownVariable
 from .exact_math import (
-    common_integer_scale, is_zero_vector, ratvec, vadd, vdot, vneg, vscale, vsub)
+    IntVec, clear_denominators, independent_rows, ratvec, sign_canonical, vdot, vneg, vscale,
+    vsub)
 from .divisor import SupportFunction, support_on_fan
-from .fan import EXTENDED, Hyperplane, augmented_central_fan, hyperplane, merge_hyperplanes
+from .fan import (
+    EXTENDED, Hyperplane, _arrangement_cells, _assemble_fan, _augmented, _refine, hyperplane)
 
 
 @dataclass(frozen=True)
@@ -263,94 +266,65 @@ def _eval(expr: Expr, point) -> Fraction:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def affine_forms(expr: Expr, dim: int) -> set:
-    """All affine forms (slope, constant) the expression can take on linear
-    pieces; an overapproximation for nested maxima."""
-    return _forms_table(expr, dim)[id(expr)]
-
-
-def _forms_table(expr: Expr, dim: int) -> dict[int, set]:
-    """The affine forms of every node of the tree, keyed by node identity;
-    one post-order pass computes each node's set once, from its children's.
-    A node with a single form is that affine function everywhere."""
-    table = {}
-    _node_forms(expr, dim, table)
-    return table
-
-
-def _node_forms(expr: Expr, dim: int, table: dict[int, set]) -> set:
-    zero = tuple(Fraction(0) for _ in range(dim))
-    if isinstance(expr, Var):
-        slope = tuple(Fraction(1) if i == expr.index - 1 else Fraction(0)
-                      for i in range(dim))
-        forms = {(slope, Fraction(0))}
-    elif isinstance(expr, Const):
-        forms = {(zero, expr.value)}
-    elif isinstance(expr, Neg):
-        forms = {(vneg(s), -c) for s, c in _node_forms(expr.arg, dim, table)}
-    elif isinstance(expr, Scale):
-        forms = {(vscale(expr.coeff, s), expr.coeff * c)
-                 for s, c in _node_forms(expr.arg, dim, table)}
-    elif isinstance(expr, Sum):
-        forms = {(zero, Fraction(0))}
-        for term in expr.terms:
-            term_forms = _node_forms(term, dim, table)
-            forms = {(vadd(s1, s2), c1 + c2)
-                     for s1, c1 in forms
-                     for s2, c2 in term_forms}
-    elif isinstance(expr, Max):
-        forms = set()
-        for arg in expr.args:
-            forms |= _node_forms(arg, dim, table)
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    table[id(expr)] = forms
-    return forms
-
-
-def _check_homogeneous(expr: Expr, dim: int) -> tuple[dict[int, tuple], int]:
-    """Reject a nonzero constant under a max or in the whole function, naming
-    the first met in pre-order.  Past the check every constant under a max
-    is 0, so a node is known by its slopes: returns the slope table, each
-    node's slopes in the order of its forms cleared to integers by their
-    common denominator, and that denominator."""
-    forms = _forms_table(expr, dim)
-    for node in _walk(expr):
-        if isinstance(node, Max):
-            for arg in node.args:
-                for _, const in forms[id(arg)]:
-                    if const != 0:
-                        raise _inhomogeneous(const, " inside max")
-    for _, const in forms[id(expr)]:
+def _check_homogeneous(expr: Expr, dim: int) -> tuple[dict[int, IntVec], int]:
+    """Name the first max argument in pre-order, then the function, whose
+    value at the origin is nonzero.  Past the check returns the slopes of
+    the nodes that hold no max, cleared to integers by the common
+    denominator of every slope a node can take, and that denominator."""
+    parts: dict[int, tuple] = {}
+    _affine(expr, dim, parts)
+    checked = [(arg, " inside max") for node in _walk(expr) if isinstance(node, Max)
+               for arg in node.args] + [(expr, "")]
+    for node, where in checked:
+        const = parts[id(node)][0]
         if const != 0:
-            raise _inhomogeneous(const, "")
-    cleared, denominator = common_integer_scale([s for own in forms.values() for s, _ in own])
-    rows = iter(cleared)
-    return {key: tuple(next(rows) for _ in own) for key, own in forms.items()}, denominator
+            try:
+                named = f"constant {const}"
+            except ValueError:  # past the interpreter's digit limit for printing
+                named = "a constant too long to print"
+            raise InhomogeneousConstant(f"{named}{where} breaks homogeneity")
+    denominator = parts[id(expr)][2]
+    return {key: vscale(denominator // den, slope)
+            for key, (_, slope, den) in parts.items() if slope is not None}, denominator
 
 
-def _inhomogeneous(const: Fraction, where: str) -> InhomogeneousConstant:
-    """The error naming the offending constant, or naming no digits when
-    the constant is past the interpreter's digit limit for printing."""
-    try:
-        named = f"constant {const}"
-    except ValueError:
-        named = "a constant too long to print"
-    return InhomogeneousConstant(f"{named}{where} breaks homogeneity")
+def _affine(expr: Expr, dim: int, parts: dict[int, tuple]) -> tuple:
+    """A node's value at the origin, its integer slope (None when it holds a
+    max) over a denominator that clears every slope it can take, and that
+    denominator; every node's triple goes into `parts`."""
+    if isinstance(expr, Var):
+        own = 0, tuple(int(i == expr.index - 1) for i in range(dim)), 1
+    elif isinstance(expr, Const):
+        own = expr.value, (0,) * dim, 1
+    elif isinstance(expr, (Neg, Scale)):
+        coeff = expr.coeff if isinstance(expr, Scale) else Fraction(-1)
+        value, slope, den = _affine(expr.arg, dim, parts)
+        own = (coeff * value, None if slope is None else vscale(coeff.numerator, slope),
+               coeff.denominator * den)
+    else:
+        values, slopes, dens = zip(*(_affine(child, dim, parts) for child in _children(expr)))
+        den = clear_denominators([Fraction(1, d) for d in dens])[1]
+        slope = None
+        if isinstance(expr, Sum) and None not in slopes:
+            slope = tuple(map(sum, zip(*(vscale(den // d, s) for s, d in zip(slopes, dens)))))
+        own = max(values) if isinstance(expr, Max) else sum(values), slope, den
+    parts[id(expr)] = own
+    return own
 
 
 def _walk(expr: Expr):
-    yield expr
-    if isinstance(expr, Neg):
-        yield from _walk(expr.arg)
-    elif isinstance(expr, Scale):
-        yield from _walk(expr.arg)
-    elif isinstance(expr, Sum):
-        for t in expr.terms:
-            yield from _walk(t)
-    elif isinstance(expr, Max):
-        for a in expr.args:
-            yield from _walk(a)
+    """Every node of the tree, in pre-order."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
+def _children(expr: Expr) -> tuple:
+    if isinstance(expr, (Neg, Scale)):
+        return (expr.arg,)
+    return expr.terms if isinstance(expr, Sum) else expr.args if isinstance(expr, Max) else ()
 
 
 # ---------------------------------------------------------------------------
@@ -358,54 +332,69 @@ def _walk(expr: Expr):
 # ---------------------------------------------------------------------------
 
 def candidate_hyperplanes(expr: Expr, dim: int, table=None) -> tuple[Hyperplane, ...]:
-    """Pairwise differences of the possible slopes of max arguments; every
-    locus where the compiled function can bend lies on one of these.
-    `table` is the expression's cleared slope table when the caller holds
-    it; without it the homogeneity check runs first and raises
-    InhomogeneousConstant on an inhomogeneous tree."""
+    """The seed of `compile_expression`: d independent normals among each
+    max node's later arguments' slopes at the origin minus its first's,
+    nodes whose arguments hold no max first.  They span every difference of
+    two slopes two arguments of one max can take, so coordinates join
+    (`_augmented`) exactly when those do not span.  Without the cleared
+    slope `table` the homogeneity check runs first."""
     table = _check_homogeneous(expr, dim)[0] if table is None else table
+    origin = (0,) * dim
     planes = []
-    for node in _walk(expr):
-        if not isinstance(node, Max):
-            continue
-        slope_sets = [table[id(arg)] for arg in node.args]
-        for i in range(len(slope_sets)):
-            for j in range(i + 1, len(slope_sets)):
-                for si in slope_sets[i]:
-                    for sj in slope_sets[j]:
-                        diff = vsub(si, sj)
-                        if not is_zero_vector(diff):
-                            planes.append(hyperplane(diff, EXTENDED))
-    return merge_hyperplanes(planes)
+    for node in sorted((node for node in _walk(expr) if isinstance(node, Max)),
+                       key=lambda node: any(id(arg) not in table for arg in node.args)):
+        first, *rest = (_slope(arg, origin, table) for arg in node.args)
+        planes += [hyperplane(vsub(slope, first), EXTENDED) for slope in rest if slope != first]
+    planes = _augmented(planes, dim)
+    return tuple(planes[i] for i in independent_rows([h.normal for h in planes]))
 
 
 def compile_expression(expr: Expr, dim: int) -> SupportFunction:
-    """Support function of a parsed expression: central fan of the candidate
-    hyperplanes (synthetically augmented when rank-deficient), and on each
-    maximal cone the slope of the linear piece at its interior point, read
-    in integers off the cleared slope table and divided by its denominator.
-
-    A max node takes its first argmax.  Ties cannot change the slope:
-    `candidate_hyperplanes` holds the difference of every pair of slopes two
-    arguments of a max can take, and each is a cut of the fan, so two
-    arguments tied at an interior point of a cone agree on the whole cone
-    and have equal slopes there.
-    """
+    """Support function of a parsed expression: the cells of the seed
+    (`candidate_hyperplanes`) cut at each max node after the max nodes in
+    it (`_cut_at_max`), each cone's slope read at its probe (`_slope`).
+    Each cut is a difference of two slopes two arguments of one max can
+    take, so every cone is a union of cells of the arrangement of all of
+    them.  A max takes its first argmax; a tie at a cone's probe, where both
+    are linear, is a tie on the whole cone."""
     table, denominator = _check_homogeneous(expr, dim)
-    fan = augmented_central_fan(candidate_hyperplanes(expr, dim, table), dim)
+    seed = candidate_hyperplanes(expr, dim, table)
+    cones = _arrangement_cells(seed, dim)
+    for node in reversed(list(_walk(expr))):  # each node after its descendants
+        if isinstance(node, Max):
+            cones = [piece for cone in cones for piece in _cut_at_max(node, cone, table)]
+    cuts = [Hyperplane(sign_canonical(n), EXTENDED) for cone in cones for n in cone.halfspaces]
+    fan = _assemble_fan(cones, dim, seed, cuts)
     return support_on_fan(fan, [
         tuple(Fraction(x, denominator) for x in _slope(expr, cone.interior_point(), table))
         for cone in fan.maximal_cones])
 
 
+def _cut_at_max(node: Max, cone, table) -> list:
+    """The pieces of a cone on which a max node is linear, given that its
+    arguments are: each piece is cut by the running max at its probe minus
+    the next argument."""
+    probe = cone.interior_point()
+    slopes = [_slope(arg, probe, table) for arg in node.args]
+    pieces = [cone]
+    for k in range(1, len(slopes)):
+        refined = []
+        for piece in pieces:
+            point = piece.interior_point()
+            top = max(slopes[:k], key=lambda slope: vdot(slope, point))
+            refined += _refine([piece], vsub(top, slopes[k]))
+        pieces = refined
+    return pieces
+
+
 def _slope(expr: Expr, point, table):
     """Cleared slope of the linear piece chosen at an integer point; a node
-    with a single slope in the table is read off it without recursing.  A
-    scaled slope is itself a cleared slope of its node, so dividing by the
-    coefficient's denominator is exact."""
-    own = table[id(expr)]
-    if len(own) == 1:
-        return own[0]
+    that holds no max is read off the table.  A scaled slope is itself a
+    cleared slope of its node, so dividing by the coefficient's denominator
+    is exact."""
+    own = table.get(id(expr))
+    if own is not None:
+        return own
     if isinstance(expr, Neg):
         return vneg(_slope(expr.arg, point, table))
     if isinstance(expr, Scale):

@@ -33,6 +33,7 @@ from .exact_math import (
     is_zero_vector,
     keep_side,
     mat_rank,
+    normalize_primitive,
     nullspace_covectors,
     rational_to_primitive,
     sign_canonical,
@@ -193,13 +194,14 @@ def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
     in integers (:func:`crossing_rays`, :func:`keep_side`) on the zero sets
     the cone's `facet_rays` give: it needs the cone's rays to be exactly its
     extreme rays and its facets to be irredundant, which every cone this
-    engine makes satisfies, and `cut` to be primitive.  Each edge of the
-    cone that the cut crosses yields one new ray.  A facet survives on a
+    engine makes satisfies; `cut`, any integer normal, is kept primitive.
+    Each edge the cut crosses yields one new ray.  A facet survives on a
     side when one of its rays lies strictly on that side.
     """
     products = [vdot(cut, r) for r in cone.rays]
     if not (any(p > 0 for p in products) and any(p < 0 for p in products)):
         return None
+    cut, _ = normalize_primitive(cut)
     zero_sets = [frozenset(i for i, tight in enumerate(cone.facet_rays) if r in tight)
                  for r in cone.rays]
     crossings = crossing_rays(cone.rays, zero_sets, products, cone.dim)
@@ -218,7 +220,7 @@ def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
 
 
 def _refine(cones, cut: IntVec) -> list[Cone]:
-    """Split every cone that `cut` passes through."""
+    """Split every cone that the integer normal `cut` passes through."""
     refined: list[Cone] = []
     for cone in cones:
         refined.extend(_split_cone(cone, cut) or (cone,))
@@ -432,10 +434,9 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                         diagnostics.append(
                             f"neuron ({layer},{j}) is identically zero on a cone")
                     continue
-                cut = rational_to_primitive(phi)
-                refined = _refine(pieces, cut)
+                refined = _refine(pieces, phi)
                 if len(refined) > len(pieces):
-                    bent.append(Hyperplane(sign_canonical(cut), BENT, ((layer, j),)))
+                    bent.append(hyperplane(phi, BENT, ((layer, j),)))
                 pieces = refined
             next_cones.extend(pieces)
         cones = next_cones

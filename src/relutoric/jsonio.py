@@ -33,39 +33,46 @@ def encode_rational(value: Fraction):
         raise DocumentError(f"cannot write the report: {exc}") from None
 
 
+def _shown(value) -> str:
+    """A value's repr for an error line, or past 60 characters its type and length."""
+    text = repr(value)
+    size = len(value) if isinstance(value, (str, list, dict)) else len(text)
+    return text if len(text) <= 60 else f"{type(value).__name__} of length {size}"
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 def decode_rational(value) -> Fraction:
     if isinstance(value, bool):
-        raise DocumentError(f"expected a rational, got {value!r}")
+        raise DocumentError(f"expected a rational, got {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(*map(int, value.split("/")))
         except ValueError as exc:  # past the interpreter's digit limit
-            raise DocumentError(f"bad rational {value!r}: {exc}") from None
-    raise DocumentError(f"expected int or 'p/q' string, got {value!r}")
+            raise DocumentError(f"bad rational {_shown(value)}: {exc}") from None
+    raise DocumentError(f"expected int or 'p/q' string, got {_shown(value)}")
 
 
 def decode_int(value, what: str) -> int:
     """A JSON integer; booleans, strings and floats are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{what} must be an integer, got {value!r}")
+        raise DocumentError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
 def decode_bool(value, what: str) -> bool:
     """A JSON boolean; integers, strings and null are rejected."""
     if not isinstance(value, bool):
-        raise DocumentError(f"{what} must be true or false, got {value!r}")
+        raise DocumentError(f"{what} must be true or false, got {_shown(value)}")
     return value
 
 
 def _decode_list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise DocumentError(f"{what} must be a list, got {value!r}")
+        raise DocumentError(f"{what} must be a list, got {_shown(value)}")
     return value
 
 
@@ -75,7 +82,7 @@ def encode_vector(vec) -> list:
 
 def decode_vector(values) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
-        raise DocumentError(f"expected a list, got {values!r}")
+        raise DocumentError(f"expected a list, got {_shown(values)}")
     return tuple(decode_rational(v) for v in values)
 
 
@@ -85,7 +92,7 @@ def encode_matrix(rows) -> list:
 
 def decode_matrix(rows) -> tuple:
     if not isinstance(rows, list):
-        raise DocumentError(f"expected a matrix, got {rows!r}")
+        raise DocumentError(f"expected a matrix, got {_shown(rows)}")
     return tuple(decode_vector(row) for row in rows)
 
 
@@ -167,7 +174,7 @@ def _documented_cones(doc) -> tuple[int, list[Cone]]:
         members = []
         for i in _decode_list(idxs, "cone rays"):
             if not 0 <= decode_int(i, "ray index") < len(rays):
-                raise DocumentError(f"cone refers to ray {i}; there are {len(rays)} rays")
+                raise DocumentError(f"cone refers to ray {_shown(i)}; there are {len(rays)} rays")
             members.append(rays[i])
         cones.append(_proper_cone(cone_from_rays(members, dim), len(cones)))
     return dim, cones
@@ -228,12 +235,12 @@ def decode_function(doc) -> SupportFunction:
         if dim < 1:
             raise DocumentError("function document needs a positive 'dim'")
         if not isinstance(doc["expr"], str):
-            raise DocumentError(f"'expr' must be a string, got {doc['expr']!r}")
+            raise DocumentError(f"'expr' must be a string, got {_shown(doc['expr'])}")
         return parse_and_compile(doc["expr"], dim)
     if "fan" in doc:
         support = decode_support(doc)
         if "dim" in doc and decode_int(doc["dim"], "dim") != support.fan.dim:
-            raise DocumentError(f"dim {doc['dim']} is not the fan's {support.fan.dim}")
+            raise DocumentError(f"dim {_shown(doc['dim'])} is not the fan's {support.fan.dim}")
         return support
     raise DocumentError("function document needs 'expr' or 'fan'+'slopes'")
 

@@ -31,6 +31,7 @@ becomes one through `divisor.support_of_network` before it gets here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import CriterionFailed, DimensionMismatch
@@ -66,7 +67,7 @@ class HyperplaneGroup:
 
     @property
     def passes(self) -> bool:
-        return len(set(self.numbers)) <= 1
+        return all(n == self.numbers[0] for n in self.numbers)
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class RealizabilityReport:
     refined: SupportFunction = field(compare=False)
     synthesis: Synthesis | None = None
 
-    @property
+    @cached_property
     def witness(self) -> HyperplaneGroup | None:
         """The first group whose walls carry unequal numbers."""
         return next((g for g in self.groups if not g.passes), None)

@@ -4,6 +4,8 @@ oracles.
 The bend oracle below measures how much a function bends across a wall by
 exact second differences of function *values*; it never looks at slope or
 divisor data, so it is an independent check of the intersection-number path.
+The reference compile at the end is how expressions compiled before they
+compiled by refinement: the arrangement of every candidate hyperplane.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from relutoric.divisor import wall_curve
+from relutoric.divisor import support_on_fan, wall_curve
+from relutoric.errors import InhomogeneousConstant
 from relutoric.exact_math import (
+    is_zero_vector,
     kernel_normal,
     pairing_one_solution,
     vadd,
@@ -24,7 +28,8 @@ from relutoric.exact_math import (
     vscale,
     vsub,
 )
-from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var
+from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var, _walk
+from relutoric.fan import EXTENDED, augmented_central_fan, hyperplane, merge_hyperplanes
 from relutoric.network import network
 
 # Architecture (2, 3, 1; 1) computing max{0, x, y}; the pipeline's golden
@@ -162,3 +167,148 @@ def reference_intersection_number(s, wall, lift=None) -> Fraction:
         lift = wall_curve(s.fan, wall)
     i, j = wall.cones
     return Fraction(vdot(vsub(s.slopes[i], s.slopes[j]), lift))
+
+
+def reference_affine_forms(expr, dim: int) -> set:
+    """affine_forms as first written: a Sum recomputes each term's forms for
+    every form accumulated so far."""
+    zero = tuple(Fraction(0) for _ in range(dim))
+    if isinstance(expr, Var):
+        return {(tuple(Fraction(1) if i == expr.index - 1 else Fraction(0) for i in range(dim)), Fraction(0))}
+    if isinstance(expr, Const):
+        return {(zero, expr.value)}
+    if isinstance(expr, Neg):
+        return {(vneg(s), -c) for s, c in reference_affine_forms(expr.arg, dim)}
+    if isinstance(expr, Scale):
+        return {(vscale(expr.coeff, s), expr.coeff * c)
+                for s, c in reference_affine_forms(expr.arg, dim)}
+    if isinstance(expr, Sum):
+        forms = {(zero, Fraction(0))}
+        for term in expr.terms:
+            forms = {(vadd(s1, s2), c1 + c2)
+                     for s1, c1 in forms
+                     for s2, c2 in reference_affine_forms(term, dim)}
+        return forms
+    out = set()
+    for arg in expr.args:
+        out |= reference_affine_forms(arg, dim)
+    return out
+
+
+# The reference compile: the route `compile_expression` took before it
+# compiled by refinement.  Every affine form a node can take is enumerated
+# (Minkowski sums at every Sum), every difference of two forms of two
+# arguments of one max is a cut of one central arrangement, and each cell's
+# slope is read in Fractions at its interior point.
+
+
+def forms_table(expr, dim: int) -> dict[int, set]:
+    """The affine forms of every node of the tree, keyed by node identity;
+    one post-order pass computes each node's set once, from its children's.
+    A node with a single form is that affine function everywhere."""
+    table = {}
+    node_forms(expr, dim, table)
+    return table
+
+
+def node_forms(expr, dim: int, table: dict[int, set]) -> set:
+    zero = tuple(Fraction(0) for _ in range(dim))
+    if isinstance(expr, Var):
+        slope = tuple(Fraction(1) if i == expr.index - 1 else Fraction(0) for i in range(dim))
+        forms = {(slope, Fraction(0))}
+    elif isinstance(expr, Const):
+        forms = {(zero, expr.value)}
+    elif isinstance(expr, Neg):
+        forms = {(vneg(s), -c) for s, c in node_forms(expr.arg, dim, table)}
+    elif isinstance(expr, Scale):
+        forms = {(vscale(expr.coeff, s), expr.coeff * c)
+                 for s, c in node_forms(expr.arg, dim, table)}
+    elif isinstance(expr, Sum):
+        forms = {(zero, Fraction(0))}
+        for term in expr.terms:
+            term_forms = node_forms(term, dim, table)
+            forms = {(vadd(s1, s2), c1 + c2)
+                     for s1, c1 in forms
+                     for s2, c2 in term_forms}
+    else:
+        forms = set()
+        for arg in expr.args:
+            forms |= node_forms(arg, dim, table)
+    table[id(expr)] = forms
+    return forms
+
+
+def affine_forms(expr, dim: int) -> set:
+    """All affine forms (slope, constant) the expression can take on linear
+    pieces; an overapproximation for nested maxima."""
+    return forms_table(expr, dim)[id(expr)]
+
+
+def reference_check_homogeneous(expr, forms) -> None:
+    """The homogeneity check on the forms table: the first nonzero constant
+    of a max argument's forms, max nodes in pre-order, then of the whole
+    function's."""
+    for node in _walk(expr):
+        if isinstance(node, Max):
+            for arg in node.args:
+                for _, const in forms[id(arg)]:
+                    if const != 0:
+                        raise InhomogeneousConstant(
+                            f"constant {const} inside max breaks homogeneity")
+    for _, const in forms[id(expr)]:
+        if const != 0:
+            raise InhomogeneousConstant(f"constant {const} breaks homogeneity")
+
+
+def reference_value_and_slope(expr, point, dim: int, forms):
+    """Value and slope at a point in Fraction arithmetic, a node with a
+    single affine form in `forms` read off it, a max taking its first
+    argmax."""
+    own = forms[id(expr)]
+    if len(own) == 1:
+        (slope, const), = own
+        return vdot(slope, point) + const, slope
+    if isinstance(expr, Neg):
+        value, slope = reference_value_and_slope(expr.arg, point, dim, forms)
+        return -value, vneg(slope)
+    if isinstance(expr, Scale):
+        value, slope = reference_value_and_slope(expr.arg, point, dim, forms)
+        return expr.coeff * value, vscale(expr.coeff, slope)
+    if isinstance(expr, Sum):
+        value, slope = 0, (0,) * dim
+        for term in expr.terms:
+            v, m = reference_value_and_slope(term, point, dim, forms)
+            value, slope = value + v, vadd(slope, m)
+        return value, slope
+    best = None
+    for arg in expr.args:
+        value, slope = reference_value_and_slope(arg, point, dim, forms)
+        if best is None or value > best[0]:
+            best = value, slope
+    return best
+
+
+def reference_candidate_hyperplanes(expr, dim: int, forms) -> tuple:
+    """Every difference of two slopes two arguments of one max can take."""
+    planes = []
+    for node in _walk(expr):
+        if not isinstance(node, Max):
+            continue
+        form_sets = [forms[id(arg)] for arg in node.args]
+        for i in range(len(form_sets)):
+            for j in range(i + 1, len(form_sets)):
+                for si, _ in form_sets[i]:
+                    for sj, _ in form_sets[j]:
+                        diff = vsub(si, sj)
+                        if not is_zero_vector(diff):
+                            planes.append(hyperplane(diff, EXTENDED))
+    return merge_hyperplanes(planes)
+
+
+def reference_compile_expression(expr, dim: int):
+    forms = forms_table(expr, dim)
+    reference_check_homogeneous(expr, forms)
+    fan = augmented_central_fan(reference_candidate_hyperplanes(expr, dim, forms), dim)
+    return support_on_fan(fan, [
+        reference_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
+        for cone in fan.maximal_cones])

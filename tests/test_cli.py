@@ -647,6 +647,17 @@ class TestInputBoundary:
             assert time.perf_counter() - start < 1
             assert (code, err) == (2, f"error: expected int or 'p/q' string, got {text!r}\n")
 
+    @pytest.mark.parametrize("value, named", [
+        ("9" * 5000, "bad rational str of length 5000: Exceeds the limit"),
+        ("x" * 100000, "expected int or 'p/q' string, got str of length 100000"),
+        ([0] * 100000, "expected int or 'p/q' string, got list of length 100000"),
+    ], ids=["past-digit-limit", "long-string", "long-list"])
+    def test_long_values_named_by_kind_and_length(self, capsys, tmp_path, value, named):
+        code, err = run_error(capsys, tmp_path, "eval", dict(GOLDEN_DOC, points=[[value, 1]]))
+        assert code == 2
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
 
 # a convex shallow net, which every command takes, and the
 # {"fan", "slopes"} document of its support

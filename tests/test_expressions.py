@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
+import random
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from relutoric import expressions
 from relutoric.cli import main
 from relutoric.errors import InhomogeneousConstant, ParseError, UnknownVariable
-from relutoric.exact_math import is_zero_vector, vadd, vdot, vneg, vscale, vsub
+from relutoric.exact_math import independent_rows, is_zero_vector, vsub
 from relutoric.expressions import (
     Const,
     Max,
@@ -15,18 +20,27 @@ from relutoric.expressions import (
     Scale,
     Sum,
     Var,
-    affine_forms,
     compile_expression,
     evaluate_expression,
     format_expression,
     parse_and_compile,
     parse_expression,
 )
-from relutoric.divisor import support_of_network, support_on_fan
-from relutoric.fan import EXTENDED, augmented_central_fan, hyperplane, merge_hyperplanes
-from relutoric.network import network
+from relutoric.divisor import support_of_network
+from relutoric.fan import EXTENDED, _augmented, hyperplane
 from relutoric.realizability import common_refinement
-from conftest import SIXPIECE_EXPR, SIXPIECE_SLOPES, expressions as expression_trees
+import conftest
+from conftest import (
+    SIXPIECE_EXPR,
+    SIXPIECE_SLOPES,
+    affine_forms,
+    expressions as expression_trees,
+    forms_table,
+    reference_affine_forms,
+    reference_candidate_hyperplanes,
+    reference_compile_expression,
+    reference_value_and_slope,
+)
 
 
 class TestParse:
@@ -85,13 +99,15 @@ class TestHomogeneity:
     def test_zero_constant_allowed(self):
         parse_expression("max(0, x1, x2)", 2)
 
-    # Messages as the checker reported them before affine_forms computed
-    # each Sum term's forms once: the first nonzero constant in the forms'
-    # iteration order is the one named.
+    # The first max argument in pre-order, then the function, whose value at
+    # the origin is nonzero is named by that value.  In the last, the outer
+    # argument's value max(0, 1) - 1 cancels, so the inner constant 1 is
+    # named.
     MESSAGES = [
         ("max(x1, max(x2, 1) + 2)", "constant 3 inside max breaks homogeneity"),
         ("max(x1, x2) + 1", "constant 1 breaks homogeneity"),
         ("max(x1, 1 - 2 + x2)", "constant -1 inside max breaks homogeneity"),
+        ("max(x1, max(x2, 1) - 1)", "constant 1 inside max breaks homogeneity"),
     ]
 
     @pytest.mark.parametrize("text,message", MESSAGES)
@@ -120,33 +136,30 @@ class TestHomogeneity:
         assert len(calls) == 1
 
 
-def reference_affine_forms(expr, dim: int) -> set:
-    """affine_forms as first written: a Sum recomputes each term's forms for
-    every form accumulated so far."""
-    zero = tuple(F(0) for _ in range(dim))
-    if isinstance(expr, Var):
-        return {(tuple(F(1) if i == expr.index - 1 else F(0) for i in range(dim)), F(0))}
-    if isinstance(expr, Const):
-        return {(zero, expr.value)}
-    if isinstance(expr, Neg):
-        return {(vneg(s), -c) for s, c in reference_affine_forms(expr.arg, dim)}
-    if isinstance(expr, Scale):
-        return {(vscale(expr.coeff, s), expr.coeff * c)
-                for s, c in reference_affine_forms(expr.arg, dim)}
-    if isinstance(expr, Sum):
-        forms = {(zero, F(0))}
-        for term in expr.terms:
-            forms = {(vadd(s1, s2), c1 + c2)
-                     for s1, c1 in forms
-                     for s2, c2 in reference_affine_forms(term, dim)}
-        return forms
-    out = set()
-    for arg in expr.args:
-        out |= reference_affine_forms(arg, dim)
-    return out
+def reference_seed(expr, dim: int, forms) -> tuple:
+    """`candidate_hyperplanes` in Fractions: for each max node, those whose
+    arguments hold no max first, the difference between its first
+    argument's slope at the origin and each later one's, and d independent
+    normals among them, augmented when they are rank-deficient."""
+    def holds_max(node):
+        return any(isinstance(n, Max) for n in expressions._walk(node))
+
+    origin = (F(0),) * dim
+    planes = []
+    for node in sorted((n for n in expressions._walk(expr) if isinstance(n, Max)),
+                       key=lambda n: any(holds_max(arg) for arg in n.args)):
+        first, *rest = (reference_value_and_slope(arg, origin, dim, forms)[1]
+                        for arg in node.args)
+        planes += [hyperplane(vsub(s, first), EXTENDED) for s in rest
+                   if not is_zero_vector(vsub(s, first))]
+    planes = _augmented(planes, dim)
+    return tuple(planes[i] for i in independent_rows([h.normal for h in planes]))
 
 
 class TestAffineFormsAgainstReference:
+    """The forms table of the reference compile against the forms as first
+    written."""
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 4).flatmap(
         lambda d: st.tuples(st.just(d), expression_trees(d, constants=True))))
@@ -161,76 +174,23 @@ class TestAffineFormsAgainstReference:
         lambda d: st.tuples(st.just(d), expression_trees(d, constants=True))))
     def test_table_holds_every_node(self, case):
         dim, expr = case
-        table = expressions._forms_table(expr, dim)
+        table = forms_table(expr, dim)
         for node in expressions._walk(expr):
             assert list(table[id(node)]) == list(reference_affine_forms(node, dim))
 
     def test_table_built_once_per_compile(self, monkeypatch):
-        nodes = len(list(expressions._walk(parse_expression(SIXPIECE_EXPR, 2))))
+        expr = parse_expression(SIXPIECE_EXPR, 2)
+        nodes = len(list(expressions._walk(expr)))
         tables, visits = [], []
-        build, node_forms = expressions._forms_table, expressions._node_forms
-        monkeypatch.setattr(expressions, "_forms_table",
+        build, visit = conftest.forms_table, conftest.node_forms
+        monkeypatch.setattr(conftest, "forms_table",
                             lambda expr, dim: tables.append(expr) or build(expr, dim))
-        monkeypatch.setattr(expressions, "_node_forms",
+        monkeypatch.setattr(conftest, "node_forms",
                             lambda expr, dim, table: visits.append(expr)
-                            or node_forms(expr, dim, table))
-        parse_and_compile(SIXPIECE_EXPR, 2)
+                            or visit(expr, dim, table))
+        reference_compile_expression(expr, 2)
         assert len(tables) == 1
         assert len(visits) == nodes
-
-
-def reference_value_and_slope(expr, point, dim: int, forms):
-    """The per-cone walk of compile_expression before the integer slope
-    table: value and slope in Fraction arithmetic, a node with a single
-    affine form in `forms` read off it, a max taking its first argmax."""
-    own = forms[id(expr)]
-    if len(own) == 1:
-        (slope, const), = own
-        return vdot(slope, point) + const, slope
-    if isinstance(expr, Neg):
-        value, slope = reference_value_and_slope(expr.arg, point, dim, forms)
-        return -value, vneg(slope)
-    if isinstance(expr, Scale):
-        value, slope = reference_value_and_slope(expr.arg, point, dim, forms)
-        return expr.coeff * value, vscale(expr.coeff, slope)
-    if isinstance(expr, Sum):
-        value, slope = 0, (0,) * dim
-        for term in expr.terms:
-            v, m = reference_value_and_slope(term, point, dim, forms)
-            value, slope = value + v, vadd(slope, m)
-        return value, slope
-    best = None
-    for arg in expr.args:
-        value, slope = reference_value_and_slope(arg, point, dim, forms)
-        if best is None or value > best[0]:
-            best = value, slope
-    return best
-
-
-def reference_candidate_hyperplanes(expr, dim: int, forms) -> tuple:
-    """candidate_hyperplanes before the integer slope table: differences of
-    the Fraction slopes of the forms table."""
-    planes = []
-    for node in expressions._walk(expr):
-        if not isinstance(node, Max):
-            continue
-        form_sets = [forms[id(arg)] for arg in node.args]
-        for i in range(len(form_sets)):
-            for j in range(i + 1, len(form_sets)):
-                for si, _ in form_sets[i]:
-                    for sj, _ in form_sets[j]:
-                        diff = vsub(si, sj)
-                        if not is_zero_vector(diff):
-                            planes.append(hyperplane(diff, EXTENDED))
-    return merge_hyperplanes(planes)
-
-
-def reference_compile(expr, dim: int):
-    forms = expressions._forms_table(expr, dim)
-    fan = augmented_central_fan(reference_candidate_hyperplanes(expr, dim, forms), dim)
-    return support_on_fan(fan, [
-        reference_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
-        for cone in fan.maximal_cones])
 
 
 def _homogeneous(expr, dim: int) -> bool:
@@ -247,24 +207,41 @@ HOMOGENEOUS_TREES = st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st
     expression_trees(d, constants=True).filter(lambda e: _homogeneous(e, d)))))
 
 
+def _probe_slopes(support, expr, dim: int) -> tuple:
+    """The Fraction walk's slope at the interior point of every cone."""
+    forms = forms_table(expr, dim)
+    return tuple(reference_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
+                 for cone in support.fan.maximal_cones)
+
+
+def _same_function(a, b) -> bool:
+    """Zero correction: equal slopes on a common refinement."""
+    a, b = common_refinement([a, b])
+    return a.slopes == b.slopes
+
+
 class TestIntegerSlopesAgainstReference:
-    """The integer slope table gives the reports the Fraction walk gave."""
+    """The integer slopes of the refinement are the slopes the Fraction walk
+    reads, and its seed is the one the Fraction walk gives."""
 
     @settings(max_examples=150, deadline=None)
     @given(HOMOGENEOUS_TREES)
     def test_slopes_on_every_cone(self, case):
         dim, expr = case
-        support, reference = compile_expression(expr, dim), reference_compile(expr, dim)
-        assert support.fan.maximal_cones == reference.fan.maximal_cones
-        assert support.slopes == reference.slopes
+        support = compile_expression(expr, dim)
+        assert support.slopes == _probe_slopes(support, expr, dim)
+        assert _same_function(support, reference_compile_expression(expr, dim))
 
     @settings(max_examples=150, deadline=None)
     @given(HOMOGENEOUS_TREES)
     def test_candidate_hyperplanes_in_the_same_order(self, case):
         dim, expr = case
-        forms = expressions._forms_table(expr, dim)
-        assert (expressions.candidate_hyperplanes(expr, dim)
-                == reference_candidate_hyperplanes(expr, dim, forms))
+        forms = forms_table(expr, dim)
+        seed = expressions.candidate_hyperplanes(expr, dim)
+        assert seed == reference_seed(expr, dim, forms)
+        candidates = {h.normal for h in
+                      _augmented(reference_candidate_hyperplanes(expr, dim, forms), dim)}
+        assert len(seed) == dim and {h.normal for h in seed} <= candidates
 
     @pytest.mark.parametrize("text", [
         "-2/3*max(3/2*x1, -x2)",
@@ -274,9 +251,9 @@ class TestIntegerSlopesAgainstReference:
     ])
     def test_exact_division(self, text):
         expr = parse_expression(text, 2)
-        support, reference = compile_expression(expr, 2), reference_compile(expr, 2)
-        assert support.fan.maximal_cones == reference.fan.maximal_cones
-        assert support.slopes == reference.slopes
+        support = compile_expression(expr, 2)
+        assert support.slopes == _probe_slopes(support, expr, 2)
+        assert _same_function(support, reference_compile_expression(expr, 2))
         for cone in support.fan.maximal_cones:
             point = cone.interior_point()
             assert support.value(point) == evaluate_expression(expr, point)
@@ -284,6 +261,126 @@ class TestIntegerSlopesAgainstReference:
     def test_without_a_table_checks_homogeneity(self):
         with pytest.raises(InhomogeneousConstant):
             expressions.candidate_hyperplanes(Max((Var(1), Const(F(1)))), 2)
+
+
+def form_text(coeffs) -> str:
+    """An integer linear form as the parser reads it."""
+    terms = [f"{c}*x{i}" for i, c in enumerate(coeffs, start=1) if c]
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+@st.composite
+def nested_max_trees(draw, max_depth: int = 2):
+    """(dim, text) of a nested max/min tree in R^2 or R^3: every argument is
+    a linear form, and above the innermost level it may add a scaled node
+    one level down."""
+    dim = draw(st.integers(2, 3))
+    form = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(form_text)
+
+    def node(depth):
+        args = []
+        for _ in range(draw(st.integers(2, 3))):
+            text = draw(form)
+            if depth > 1 and draw(st.booleans()):
+                sign = draw(st.sampled_from(["+", "-"]))
+                coeff = draw(st.sampled_from(["1", "2", "1/2", "3/2"]))
+                text = f"{text} {sign} {coeff}*{node(depth - 1)}"
+            args.append(text)
+        return f"{draw(st.sampled_from(['max', 'min']))}({', '.join(args)})"
+
+    return dim, node(draw(st.integers(1, max_depth)))
+
+
+def nested_draw(rng: random.Random, dim: int, depth: int) -> str:
+    """A seeded nested max/min expression of the given depth: 2-3 arguments
+    per node, each a linear form plus, with probability 0.7 above the
+    innermost level, a positive multiple of a node one level down."""
+    args = []
+    for _ in range(rng.randint(2, 3)):
+        text = form_text([rng.randint(-2, 2) for _ in range(dim)])
+        if depth > 1 and rng.random() < 0.7:
+            text = f"{text} + {rng.randint(1, 3)}*{nested_draw(rng, dim, depth - 1)}"
+        args.append(text)
+    return f"{rng.choice(['max', 'min'])}({', '.join(args)})"
+
+
+REPORT_COMMANDS = (["newton"], ["polytope"], ["volume"], ["realize"], ["classify"])
+
+
+def _reports(dim: int, text: str) -> list:
+    """Exit code, report and stderr of each command of REPORT_COMMANDS on an
+    expression document, through `cli.main`."""
+    out = []
+    with tempfile.TemporaryDirectory() as directory:
+        doc, report = Path(directory) / "input.json", Path(directory) / "report.json"
+        doc.write_text(json.dumps({"dim": dim, "expr": text}))
+        for command in REPORT_COMMANDS:
+            report.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*command, "--input", str(doc), "--output", str(report)])
+            out.append((code, report.read_text() if report.exists() else None, err.getvalue()))
+    return out
+
+
+class TestRefinementAgainstReference:
+    """The refinement compiles the function the reference compiles, on no
+    more cones, with the same reports of every command that depends on the
+    function alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(nested_max_trees(), st.randoms(use_true_random=False))
+    def test_same_function(self, case, rng):
+        dim, text = case
+        expr = parse_expression(text, dim)
+        support = compile_expression(expr, dim)
+        assert _same_function(support, reference_compile_expression(expr, dim))
+        for _ in range(5):
+            point = tuple(F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(dim))
+            assert support.value(point) == evaluate_expression(expr, point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_max_trees())
+    def test_never_more_cones(self, case):
+        dim, text = case
+        expr = parse_expression(text, dim)
+        assert (len(compile_expression(expr, dim).fan.maximal_cones)
+                <= len(reference_compile_expression(expr, dim).fan.maximal_cones))
+
+    @settings(max_examples=12, deadline=None)
+    @given(nested_max_trees())
+    def test_same_reports(self, case):
+        reports = _reports(*case)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expressions, "compile_expression", reference_compile_expression)
+            assert _reports(*case) == reports
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(
+        lambda d: st.tuples(st.just(d), expression_trees(d, constants=True))))
+    def test_inhomogeneous_exactly_when_the_reference_is(self, case):
+        dim, expr = case
+
+        def raises(compile_):
+            try:
+                compile_(expr, dim)
+            except InhomogeneousConstant:
+                return True
+            return False
+
+        assert raises(compile_expression) == raises(reference_compile_expression)
+
+    def test_seeded_depth_three_draw(self):
+        # the costliest of 30 such draws for the reference, which compiles
+        # it on 6352 cones
+        text = nested_draw(random.Random("nested/19"), 3, 3)
+        expr = parse_expression(text, 3)
+        support = compile_expression(expr, 3)
+        assert len(support.fan.maximal_cones) == 113
+        rng = random.Random(19)
+        for _ in range(10):
+            point = tuple(F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3))
+            assert support.value(point) == evaluate_expression(expr, point)
 
 
 def nested(levels: int) -> str:
@@ -334,10 +431,12 @@ class TestEvaluate:
 
 class TestCompile:
     def test_max_three_pieces(self):
+        # seeded by x1 = 0 and x2 = 0; only the positive quadrant is cut,
+        # by x1 = x2
         s = parse_and_compile("max(0, x1, x2)", 2)
-        assert len(s.fan.maximal_cones) == 6
-        normals = {h.normal for h in s.fan.hyperplanes}
-        assert normals == {(1, 0), (0, 1), (1, -1)}
+        assert len(s.fan.maximal_cones) == 5
+        assert {h.normal for h in s.fan.hyperplanes} == {(1, 0), (0, 1)}
+        assert {w.normal for w in s.fan.walls} == {(1, 0), (0, 1), (1, -1)}
         assert set(s.slopes) == {(F(0), F(0)), (F(1), F(0)), (F(0), F(1))}
 
     def test_linear_gets_augmented_fan(self):

@@ -22,6 +22,9 @@ FAN = {"dim": 2, "fan": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
        "slopes": [[1, 1], [0, 1], [0, 0], [1, 0]]}
 EXPR = {"dim": 2, "expr": "max(x1, x2, 0) - max(0, x1 - x2)"}
 CONVEX = {"dim": 2, "expr": "max(x1, x2, 0)"}
+# max and min nested four deep, compiled by refinement at each max node
+NESTED = {"dim": 3, "expr": "max(x1 - x2, 2*min(x3, max(x1, -x2, 1/2*max(x2 - x3, 0)))"
+                            " - x1, min(x2, -x3))"}
 
 DOCUMENTS = [
     ("eval", dict(GOLDEN, points=[[1, 2], ["1/2", -3]], neuron=[1, 2])),
@@ -38,6 +41,7 @@ DOCUMENTS = [
     ("shift", dict(GOLDEN, g={"slope": [1, "2/3"], "constant": 1})),
     ("realize", EXPR),
     ("render", GOLDEN),
+    ("fan", NESTED),
 ]
 HUGE = 10**30
 ATOMS = [None, "1/0", [], {}, 1.5, HUGE, -1, 0, True, "x", "1e1000000000"]

@@ -44,6 +44,13 @@
   only by `cli._read` and `realizability.verify_up_to_linear`, and no
   module defines `as_support` again, so the realize entry points take a
   `SupportFunction` and nothing dispatches on the input's type.
+- One compile: `_forms_table`, `_node_forms` and `affine_forms` are absent
+  from `src/`, so no expression's affine forms are enumerated again, and
+  `fan._refine` is called only by `fan._arrangement_cells`,
+  `fan.build_relu_fan` and the compile loop (`expressions._cut_at_max`), so
+  expressions add no second split routine.  `_cut_at_max` and
+  `build_relu_fan` still each run a cone-wise loop of cuts read at a probe;
+  ROADMAP item 13 writes that loop once.
 """
 
 from __future__ import annotations
@@ -227,6 +234,18 @@ def test_one_conversion_of_a_net():
     assert users("support_of_network") == {"cli._read", "realizability.verify_up_to_linear"}
     assert [(path.name, line) for path in SOURCES
             for line in defines(_tree(path), "as_support")] == []
+
+
+@pytest.mark.parametrize("name", ["_forms_table", "_node_forms", "affine_forms"])
+def test_one_compile_enumerates_no_forms(name):
+    assert users(name) == set()
+    assert [(path.name, line) for path in SOURCES
+            for line in defines(_tree(path), name)] == []
+
+
+def test_one_compile_splits_by_refine():
+    assert users("_refine") == {
+        "fan._arrangement_cells", "fan.build_relu_fan", "expressions._cut_at_max"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -34,6 +34,7 @@ from conftest import (
     nets,
     rand_point,
     rand_shallow_net,
+    reference_compile_expression,
     reference_intersection_number,
     weights,
 )
@@ -466,6 +467,13 @@ def calls(monkeypatch):
     return counts
 
 
+def on_candidate_arrangement(text: str, dim: int) -> SupportFunction:
+    """An expression on the arrangement of all its candidate hyperplanes,
+    which refines the criterion fan: its compile before compiling by
+    refinement."""
+    return reference_compile_expression(parse_expression(text, dim), dim)
+
+
 class TestCriterionFanPaths:
     """One case per way the criterion fan is made: s.fan reused, the
     arrangement built and keyed by sign vector, and the arrangement built
@@ -480,7 +488,7 @@ class TestCriterionFanPaths:
         return refined.fan
 
     @pytest.mark.parametrize("s", [
-        parse_and_compile("max(x1, x2, x3, 0)", 3),
+        on_candidate_arrangement("max(x1, x2, x3, 0)", 3),
         support_of_network(network([
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
              [1, 1, -1, 2], [2, -1, 1, 1]],
@@ -492,7 +500,7 @@ class TestCriterionFanPaths:
         assert fan.maximal_cones == s.fan.maximal_cones
 
     def test_keyed_coarsening(self, calls):
-        s = parse_and_compile("max(x1, x2, -x1, x1 - x2)", 2)
+        s = on_candidate_arrangement("max(x1, x2, -x1, x1 - x2)", 2)
         fan = self._criterion(s, calls)
         assert calls == {"central_fan": 1, "cone_containing": 0}
         assert len(fan.maximal_cones) < len(s.fan.maximal_cones)
