@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
-from operator import floordiv, mul
+from operator import floordiv, mul, sub
 
 from .errors import RankDeficient, ZeroVector
 
@@ -63,7 +63,7 @@ def vadd(a, b):
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vscale(c, a):

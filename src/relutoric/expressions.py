@@ -11,8 +11,8 @@ Grammar (whitespace insensitive, rationals written p/q or as integers):
 min is canonicalized at parse time to -max(-...), so downstream code only
 ever sees max nodes.  Nonzero constants are rejected unless they cancel:
 the compiled function must be positively homogeneous.  Past that check a
-node is known by its slopes.  Compilation cuts 2^d cells at each max node,
-as `fan.build_relu_fan` refines a net's layers, until the function is
+node is known by its slopes.  Compilation cuts 2^d cells at each max node
+by `fan._cut_at_max`, which cuts every net's fan too, until the function is
 linear on every cone, and reads slopes in integers off one cleared table.
 """
 
@@ -27,7 +27,7 @@ from .exact_math import (
     vsub)
 from .divisor import SupportFunction, support_on_fan
 from .fan import (
-    EXTENDED, Hyperplane, _arrangement_cells, _assemble_fan, _augmented, _refine, hyperplane)
+    EXTENDED, Hyperplane, _arrangement_cells, _assemble_fan, _augmented, _cut_at_max, hyperplane)
 
 
 @dataclass(frozen=True)
@@ -351,40 +351,24 @@ def candidate_hyperplanes(expr: Expr, dim: int, table=None) -> tuple[Hyperplane,
 
 def compile_expression(expr: Expr, dim: int) -> SupportFunction:
     """Support function of a parsed expression: the cells of the seed
-    (`candidate_hyperplanes`) cut at each max node after the max nodes in
-    it (`_cut_at_max`), each cone's slope read at its probe (`_slope`).
-    Each cut is a difference of two slopes two arguments of one max can
-    take, so every cone is a union of cells of the arrangement of all of
-    them.  A max takes its first argmax; a tie at a cone's probe, where both
-    are linear, is a tie on the whole cone."""
+    (`candidate_hyperplanes`) cut at each max node, after the max nodes in
+    it, by `fan._cut_at_max` on the slopes its arguments take at each
+    cone's probe (`_slope`, which also reads the final slopes).  Each cut
+    is a difference of two slopes two arguments of one max can take, so
+    every cone is a union of cells of the arrangement of all of them.  Ties
+    at a probe, where the arguments are linear, hold on the whole cone."""
     table, denominator = _check_homogeneous(expr, dim)
     seed = candidate_hyperplanes(expr, dim, table)
     cones = _arrangement_cells(seed, dim)
     for node in reversed(list(_walk(expr))):  # each node after its descendants
         if isinstance(node, Max):
-            cones = [piece for cone in cones for piece in _cut_at_max(node, cone, table)]
+            cones = [piece for cone in cones for probe in [cone.interior_point()]
+                     for piece in _cut_at_max([cone], [_slope(a, probe, table) for a in node.args])]
     cuts = [Hyperplane(sign_canonical(n), EXTENDED) for cone in cones for n in cone.halfspaces]
     fan = _assemble_fan(cones, dim, seed, cuts)
     return support_on_fan(fan, [
         tuple(Fraction(x, denominator) for x in _slope(expr, cone.interior_point(), table))
         for cone in fan.maximal_cones])
-
-
-def _cut_at_max(node: Max, cone, table) -> list:
-    """The pieces of a cone on which a max node is linear, given that its
-    arguments are: each piece is cut by the running max at its probe minus
-    the next argument."""
-    probe = cone.interior_point()
-    slopes = [_slope(arg, probe, table) for arg in node.args]
-    pieces = [cone]
-    for k in range(1, len(slopes)):
-        refined = []
-        for piece in pieces:
-            point = piece.interior_point()
-            top = max(slopes[:k], key=lambda slope: vdot(slope, point))
-            refined += _refine([piece], vsub(top, slopes[k]))
-        pieces = refined
-    return pieces
 
 
 def _slope(expr: Expr, point, table):

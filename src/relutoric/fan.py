@@ -1,13 +1,13 @@
 """Central polyhedral fans of unbiased ReLU networks.
 
-Every fan here comes out of one cell-splitting engine.  A central
-arrangement starts from the 2^d simplicial cells of d independent normals and
-splits every cell by each remaining hyperplane; the ReLU fan then refines each
-maximal cone wherever a deeper neuron changes sign, its row pulled back to a
-linear functional of the input at the cone's probe (its interior point).
-Each split is one exact double-description step on integers, so cones carry
-both their extreme rays and an irredundant inward facet description, and no
-cell is ever enumerated that does not exist.
+Every fan here is cut by one routine, `_cut_at_max`, which splits cones
+where the first argmax of a list of integer covectors changes.  A central
+arrangement cuts the 2^d simplicial cells of d independent normals by each
+remaining normal n as max(n, 0); the ReLU fan cuts each maximal cone by each
+deeper neuron as max(phi, 0), phi its row pulled back at the cone's probe
+(its interior point).  Each split is one exact double-description step on
+integers, so cones carry both their extreme rays and an irredundant inward
+facet description, and no cell is ever enumerated that does not exist.
 Each cone also keeps which rays lie on each of its facets, as the step that
 made it found them, and the walls of the fan are read off that record.
 
@@ -40,6 +40,7 @@ from .exact_math import (
     simplicial_rays,
     vdot,
     vneg,
+    vsub,
 )
 from .network import ValidatedNetwork, cleared_layers, pull_back
 
@@ -219,12 +220,27 @@ def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
     return sides[0], sides[1]
 
 
-def _refine(cones, cut: IntVec) -> list[Cone]:
-    """Split every cone that the integer normal `cut` passes through."""
-    refined: list[Cone] = []
-    for cone in cones:
-        refined.extend(_split_cone(cone, cut) or (cone,))
-    return refined
+def _cut_at_max(cones, slopes) -> list[Cone]:
+    """The pieces of the cones on which the max of the integer covectors
+    `slopes` is linear.  Each piece carries its running max and is cut by it
+    minus the next covector: the negative half takes the new covector, the
+    positive half keeps the max, and an uncut piece takes the new one where
+    it is larger at its probe (ties keep the earlier; the last step skips it)."""
+    first = slopes[0]
+    pieces = [(cone, first) for cone in cones]
+    for k, slope in enumerate(slopes[1:], start=2):
+        from_first = vsub(first, slope)  # the cut of every piece whose max is `first`
+        step = []
+        for piece, top in pieces:
+            cut = from_first if top is first else vsub(top, slope)
+            halves = _split_cone(piece, cut)
+            if halves is not None:
+                step += [(halves[0], slope), (halves[1], top)]
+            else:
+                larger = k < len(slopes) and vdot(cut, piece.interior_point()) < 0
+                step.append((piece, slope if larger else top))
+        pieces = step
+    return [piece for piece, _ in pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +385,7 @@ def _arrangement_cells(merged, dim: int) -> list[Cone]:
         facet_rays = tuple(tuple(sorted(rays[:i] + rays[i + 1:])) for i in range(dim))
         cones.append(Cone(rays, halfspaces, facet_rays, dim))
     for cut in rest:
-        cones = _refine(cones, cut)
+        cones = _cut_at_max(cones, (cut, (0,) * dim))
     return cones
 
 
@@ -434,7 +450,7 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                         diagnostics.append(
                             f"neuron ({layer},{j}) is identically zero on a cone")
                     continue
-                refined = _refine(pieces, phi)
+                refined = _cut_at_max(pieces, (phi, (0,) * dim))
                 if len(refined) > len(pieces):
                     bent.append(hyperplane(phi, BENT, ((layer, j),)))
                 pieces = refined

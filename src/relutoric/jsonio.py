@@ -247,9 +247,13 @@ def decode_function(doc) -> SupportFunction:
 
 def decode_input(doc) -> ValidatedNetwork | SupportFunction:
     """The one network or function a job document holds: under a "network"
-    or "function" key, or as the document itself."""
+    or "function" key, or as the document itself.  A document with the keys
+    of two of these forms is an error, not read as the first."""
     if not isinstance(doc, dict):
         raise DocumentError("input document must be a JSON object")
+    forms = [key for key in ("network", "function", "layers", "expr", "fan") if key in doc]
+    if len(forms) > 1:
+        raise DocumentError(f"document holds two inputs, {forms[0]!r} and {forms[1]!r}")
     if "network" in doc:
         return decode_network(doc["network"])
     if "function" in doc:

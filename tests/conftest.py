@@ -6,6 +6,8 @@ exact second differences of function *values*; it never looks at slope or
 divisor data, so it is an independent check of the intersection-number path.
 The reference compile at the end is how expressions compiled before they
 compiled by refinement: the arrangement of every candidate hyperplane.
+Beside it, the reference cut at a max rescans every earlier covector at
+every piece instead of carrying the running max.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from relutoric.exact_math import (
     vsub,
 )
 from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var, _walk
-from relutoric.fan import EXTENDED, augmented_central_fan, hyperplane, merge_hyperplanes
+from relutoric.fan import (
+    EXTENDED, _split_cone, augmented_central_fan, hyperplane, merge_hyperplanes)
 from relutoric.network import network
 
 # Architecture (2, 3, 1; 1) computing max{0, x, y}; the pipeline's golden
@@ -312,3 +315,18 @@ def reference_compile_expression(expr, dim: int):
     return support_on_fan(fan, [
         reference_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
         for cone in fan.maximal_cones])
+
+
+def reference_cut_at_max(cones, slopes) -> list:
+    """`fan._cut_at_max` as the compile first wrote it: at every step each
+    piece rescans the earlier covectors for their first argmax at its probe,
+    and is cut by that argmax minus the next covector."""
+    pieces = list(cones)
+    for k in range(1, len(slopes)):
+        refined = []
+        for piece in pieces:
+            point = piece.interior_point()
+            top = max(slopes[:k], key=lambda slope: vdot(slope, point))
+            refined.extend(_split_cone(piece, vsub(top, slopes[k])) or (piece,))
+        pieces = refined
+    return pieces

@@ -504,6 +504,24 @@ class TestInputBoundary:
         assert code == 2
         assert err.startswith(message)
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"network": GOLDEN_DOC, "function": SIXPIECE_DOC}, "'network' and 'function'"),
+        ({"network": GOLDEN_DOC, "layers": GOLDEN_LAYERS}, "'network' and 'layers'"),
+        (dict(GOLDEN_DOC, dim=2, expr=SIXPIECE_EXPR), "'layers' and 'expr'"),
+        (dict(ONE_CONE_DOC, layers=GOLDEN_LAYERS), "'layers' and 'fan'"),
+        (dict(ONE_CONE_DOC, expr=SIXPIECE_EXPR), "'expr' and 'fan'"),
+    ], ids=["network-function", "network-layers", "layers-expr", "layers-fan", "expr-fan"])
+    def test_document_with_two_inputs(self, capsys, tmp_path, doc, named):
+        # such a document used to be read as its first form, with exit 0
+        message = f"document holds two inputs, {named}"
+        assert run_error(capsys, tmp_path, "fan", doc) == (2, f"error: {message}\n")
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "job.json").write_text(json.dumps({"command": "fan", "input": doc}))
+        assert main(["--batch", str(jobs)]) == 2
+        assert capsys.readouterr().err == f"job.json: {message}\n"
+        assert not (jobs / "job.out.json").exists()
+
     def test_non_list_layers(self, capsys, tmp_path):
         code, err = run_error(capsys, tmp_path, "intersect", {"layers": 5})
         assert code == 2

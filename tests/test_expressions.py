@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tempfile
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -380,6 +381,20 @@ class TestRefinementAgainstReference:
         rng = random.Random(19)
         for _ in range(10):
             point = tuple(F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3))
+            assert support.value(point) == evaluate_expression(expr, point)
+
+    def test_wide_max_is_not_quadratic(self):
+        # a compile quadratic in the arguments misses the bound: rescanning
+        # every earlier argument at every piece takes 16 s on this max of
+        # 800 forms on a 2-core host, carrying each piece's running max 0.5 s
+        rng = random.Random("wide-max/800")
+        forms = [form_text([rng.randint(-1000, 1000) for _ in range(2)]) for _ in range(800)]
+        expr = parse_expression(f"max({', '.join(forms)})", 2)
+        start = time.perf_counter()
+        support = compile_expression(expr, 2)
+        assert time.perf_counter() - start < 1.5
+        for _ in range(20):
+            point = tuple(F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(2))
             assert support.value(point) == evaluate_expression(expr, point)
 
 

@@ -31,7 +31,9 @@ from relutoric.fan import (
     Cone,
     Fan,
     Hyperplane,
+    _arrangement_cells,
     _assemble_fan,
+    _cut_at_max,
     _split_cone,
     augmented_central_fan,
     build_relu_fan,
@@ -47,7 +49,8 @@ from relutoric.fan import (
 )
 from relutoric.jsonio import decode_fan, encode_fan
 from relutoric.network import NeuronId, cleared_layers, evaluate, network, neuron_value
-from conftest import bend_oracle, in_cone, rand_point, rand_rational, random_nets
+from conftest import (
+    bend_oracle, in_cone, rand_point, rand_rational, random_nets, reference_cut_at_max)
 
 GOLDEN_RAYS = ((1, 0), (1, 1), (-1, 0), (-1, -1), (0, -1))
 
@@ -769,6 +772,40 @@ class TestSplittingEngine:
         octant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
         assert _split_cone(octant, (1, 0, 0)) is None
         assert _split_cone(octant, (1, 1, 0)) is None
+
+
+@st.composite
+def orthants_and_covectors(draw):
+    """The 2^d orthant cells in R^2..R^4 and 1-6 integer covectors, drawn
+    from a few, so that repeats and the zero vector are common."""
+    dim = draw(st.integers(2, 4))
+    covector = st.tuples(*[st.integers(-2, 2)] * dim)
+    few = draw(st.lists(covector, min_size=1, max_size=4)) + [(0,) * dim]
+    slopes = draw(st.lists(st.sampled_from(few), min_size=1, max_size=6))
+    basis = [hyperplane(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
+    return dim, _arrangement_cells(basis, dim), slopes
+
+
+class TestCutAtMaxAgainstRescan:
+    """Carrying each piece's running max cuts as rescanning every earlier
+    covector at every piece does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(orthants_and_covectors())
+    def test_same_pieces_in_the_same_order(self, case):
+        dim, cells, slopes = case
+        assert _cut_at_max(cells, slopes) == reference_cut_at_max(cells, slopes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(orthants_and_covectors())
+    def test_pieces_form_a_fan_on_which_the_max_is_linear(self, case):
+        dim, cells, slopes = case
+        pieces = _cut_at_max(cells, slopes)
+        assert validate_fan(_assemble_fan(pieces, dim, ())).valid
+        for piece in pieces:
+            probe = piece.interior_point()
+            top = max(slopes, key=lambda slope: vdot(slope, probe))  # the first argmax
+            assert all(vdot(top, r) >= vdot(slope, r) for slope in slopes for r in piece.rays)
 
 
 @st.composite

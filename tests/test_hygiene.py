@@ -45,12 +45,15 @@
   module defines `as_support` again, so the realize entry points take a
   `SupportFunction` and nothing dispatches on the input's type.
 - One compile: `_forms_table`, `_node_forms` and `affine_forms` are absent
-  from `src/`, so no expression's affine forms are enumerated again, and
-  `fan._refine` is called only by `fan._arrangement_cells`,
-  `fan.build_relu_fan` and the compile loop (`expressions._cut_at_max`), so
-  expressions add no second split routine.  `_cut_at_max` and
-  `build_relu_fan` still each run a cone-wise loop of cuts read at a probe;
-  ROADMAP item 13 writes that loop once.
+  from `src/`, so no expression's affine forms are enumerated again.
+- One cut routine: `fan._cut_at_max`, which cuts pieces where the first
+  argmax of a list of covectors changes, is the only caller of
+  `fan._split_cone` besides `realizability.criterion_fan`'s crossing test,
+  and it is called only by `fan._arrangement_cells` (a hyperplane n is the
+  max of n and 0), `fan.build_relu_fan` (a neuron is the max of its
+  pulled-back row and 0) and `expressions.compile_expression` (each max
+  node), so no module writes a split loop of its own.  `_refine` is
+  defined nowhere.
 """
 
 from __future__ import annotations
@@ -243,9 +246,15 @@ def test_one_compile_enumerates_no_forms(name):
             for line in defines(_tree(path), name)] == []
 
 
-def test_one_compile_splits_by_refine():
-    assert users("_refine") == {
-        "fan._arrangement_cells", "fan.build_relu_fan", "expressions._cut_at_max"}
+def test_one_split_loop():
+    assert users("_split_cone") == {"fan._cut_at_max", "realizability.criterion_fan"}
+
+
+def test_one_cut_routine():
+    assert users("_cut_at_max") == {
+        "fan._arrangement_cells", "fan.build_relu_fan", "expressions.compile_expression"}
+    assert [(path.name, line) for path in SOURCES
+            for line in defines(_tree(path), "_refine")] == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
