@@ -45,6 +45,7 @@ from .divisor import (
 )
 from .fan import Fan, build_relu_fan, validate_fan
 from .jsonio import (
+    _shown,
     decode_bool,
     decode_input,
     decode_int,
@@ -119,10 +120,11 @@ def _read(document, kind):
 def _options(command, given: dict) -> dict:
     """The job options `given` under their JobSpec names, from the command
     line or from a batch document's `flags`: each must be an option of its
-    command, decoded as `OPTIONS` says."""
+    command, which must be known (`_handler`), decoded as `OPTIONS` says."""
+    _handler(command)
     for key in given:
         if key not in OPTIONS or command not in OPTIONS[key][0]:
-            raise DocumentError(f"{command} takes no flag {key!r}")
+            raise DocumentError(f"{command} takes no flag {_shown(key)}")
     return {key: OPTIONS[key][1](value, key) for key, value in given.items()}
 
 
@@ -137,7 +139,7 @@ def _cmd_eval(job: JobSpec, net: ValidatedNetwork) -> JobResult:
     neuron = job.document.get("neuron")
     if neuron is not None:
         if not isinstance(neuron, list) or len(neuron) != 2:
-            raise DocumentError(f"'neuron' must be [layer, index], got {neuron!r}")
+            raise DocumentError(f"'neuron' must be [layer, index], got {_shown(neuron)}")
         neuron = NeuronId(decode_int(neuron[0], "neuron layer"),
                           decode_int(neuron[1], "neuron index"))
     values = []
@@ -297,12 +299,17 @@ _HANDLERS = {
 }
 
 
+def _handler(command):
+    """The `_HANDLERS` row of a job's command."""
+    if not isinstance(command, str):
+        raise DocumentError(f"command must be a string, got {_shown(command)}")
+    if command not in _HANDLERS:
+        raise DocumentError(f"unknown command {_shown(command)}")
+    return _HANDLERS[command]
+
+
 def run_job(job: JobSpec) -> JobResult:
-    if not isinstance(job.command, str):
-        raise DocumentError(f"command must be a string, got {job.command!r}")
-    if job.command not in _HANDLERS:
-        raise DocumentError(f"unknown command {job.command!r}")
-    handler, kind = _HANDLERS[job.command]
+    handler, kind = _handler(job.command)
     return handler(job, _read(job.document, kind))
 
 

@@ -11,9 +11,11 @@ Grammar (whitespace insensitive, rationals written p/q or as integers):
 min is canonicalized at parse time to -max(-...), so downstream code only
 ever sees max nodes.  Nonzero constants are rejected unless they cancel:
 the compiled function must be positively homogeneous.  Past that check a
-node is known by its slopes.  Compilation cuts 2^d cells at each max node
-by `fan._cut_at_max`, which cuts every net's fan too, until the function is
-linear on every cone, and reads slopes in integers off one cleared table.
+node is known by its slopes.  Compilation lowers the tree once, to integer
+forms over its max nodes, then cuts 2^d cells at each max node, innermost
+first, by `fan._cut_at_max`, which cuts every net's fan too, and which
+reports the max on each piece.  Every max is decided once, by that cut, and
+each cone's slope is the function's form at its maxes.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from fractions import Fraction
 
 from .errors import InhomogeneousConstant, ParseError, UnknownVariable
 from .exact_math import (
-    IntVec, clear_denominators, independent_rows, ratvec, sign_canonical, vdot, vneg, vscale,
-    vsub)
+    IntVec, clear_denominators, independent_rows, ratvec, sign_canonical, vscale, vsub)
 from .divisor import SupportFunction, support_on_fan
 from .fan import (
     EXTENDED, Hyperplane, _arrangement_cells, _assemble_fan, _augmented, _cut_at_max, hyperplane)
@@ -266,84 +267,91 @@ def _eval(expr: Expr, point) -> Fraction:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _check_homogeneous(expr: Expr, dim: int) -> tuple[dict[int, IntVec], int]:
-    """Name the first max argument in pre-order, then the function, whose
-    value at the origin is nonzero.  Past the check returns the slopes of
-    the nodes that hold no max, cleared to integers by the common
-    denominator of every slope a node can take, and that denominator."""
-    parts: dict[int, tuple] = {}
-    _affine(expr, dim, parts)
-    checked = [(arg, " inside max") for node in _walk(expr) if isinstance(node, Max)
-               for arg in node.args] + [(expr, "")]
-    for node, where in checked:
-        const = parts[id(node)][0]
-        if const != 0:
+def _check_homogeneous(expr: Expr, dim: int) -> tuple:
+    """The tree lowered (`_lower`), once every max argument and the function
+    are 0 at the origin; else the first that is not, max nodes in pre-order
+    and the function last, is named by its value."""
+    lowered = maxes, root, _ = _lower(expr, dim)
+    for form, where in [(arg, " inside max") for args in maxes for arg in args] + [(root, "")]:
+        if form[0] != 0:
             try:
-                named = f"constant {const}"
+                named = f"constant {form[0]}"
             except ValueError:  # past the interpreter's digit limit for printing
                 named = "a constant too long to print"
             raise InhomogeneousConstant(f"{named}{where} breaks homogeneity")
-    denominator = parts[id(expr)][2]
-    return {key: vscale(denominator // den, slope)
-            for key, (_, slope, den) in parts.items() if slope is not None}, denominator
+    return lowered
 
 
-def _affine(expr: Expr, dim: int, parts: dict[int, tuple]) -> tuple:
-    """A node's value at the origin, its integer slope (None when it holds a
-    max) over a denominator that clears every slope it can take, and that
-    denominator; every node's triple goes into `parts`."""
-    if isinstance(expr, Var):
-        own = 0, tuple(int(i == expr.index - 1) for i in range(dim)), 1
-    elif isinstance(expr, Const):
-        own = expr.value, (0,) * dim, 1
-    elif isinstance(expr, (Neg, Scale)):
-        coeff = expr.coeff if isinstance(expr, Scale) else Fraction(-1)
-        value, slope, den = _affine(expr.arg, dim, parts)
-        own = (coeff * value, None if slope is None else vscale(coeff.numerator, slope),
-               coeff.denominator * den)
-    else:
-        values, slopes, dens = zip(*(_affine(child, dim, parts) for child in _children(expr)))
-        den = clear_denominators([Fraction(1, d) for d in dens])[1]
-        slope = None
-        if isinstance(expr, Sum) and None not in slopes:
-            slope = tuple(map(sum, zip(*(vscale(den // d, s) for s, d in zip(slopes, dens)))))
-        own = max(values) if isinstance(expr, Max) else sum(values), slope, den
-    parts[id(expr)] = own
-    return own
+def _lower(expr: Expr, dim: int) -> tuple:
+    """The forms of every max node's arguments, max nodes in pre-order, the
+    function's form and one denominator, in one post-order pass.  A form
+    (value, l, terms) holds a value at the origin and a slope: l plus
+    p * s_k // q for each term (k, p, q), s_k the slope of a max node k
+    beneath it under no other max and p/q the product of the coefficients
+    on the way down.  The denominator clears every slope a node can take,
+    so each division is exact."""
+    maxes = []
+
+    def lower(node) -> tuple:  # value, slope cleared by den, terms, den
+        if isinstance(node, Var):
+            return 0, tuple(int(i == node.index - 1) for i in range(dim)), (), 1
+        if isinstance(node, Const):
+            return node.value, (0,) * dim, (), 1
+        if isinstance(node, (Neg, Scale)):
+            c = node.coeff if isinstance(node, Scale) else Fraction(-1)
+            value, slope, terms, den = lower(node.arg)
+            return (c * value, vscale(c.numerator, slope),
+                    tuple((k, c.numerator * p, c.denominator * q) for k, p, q in terms),
+                    c.denominator * den)
+        if isinstance(node, Sum):
+            parts = [lower(term) for term in node.terms]
+            den = clear_denominators([Fraction(1, d) for *_, d in parts])[1]
+            return (sum(value for value, *_ in parts),
+                    tuple(map(sum, zip(*(vscale(den // d, s) for _, s, _, d in parts)))),
+                    tuple(t for _, _, terms, _ in parts for t in terms), den)
+        k = len(maxes)
+        maxes.append(None)  # the node's place in pre-order
+        maxes[k] = parts = [lower(arg) for arg in node.args]
+        return (max(value for value, *_ in parts), (0,) * dim, ((k, 1, 1),),
+                clear_denominators([Fraction(1, d) for *_, d in parts])[1])
+
+    root = lower(expr)
+    denominator = root[3]
+
+    def form(part) -> tuple:
+        value, slope, terms, den = part
+        return value, vscale(denominator // den, slope), terms
+
+    return [[form(arg) for arg in args] for args in maxes], form(root), denominator
 
 
-def _walk(expr: Expr):
-    """Every node of the tree, in pre-order."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(_children(node)))
-
-
-def _children(expr: Expr) -> tuple:
-    if isinstance(expr, (Neg, Scale)):
-        return (expr.arg,)
-    return expr.terms if isinstance(expr, Sum) else expr.args if isinstance(expr, Max) else ()
+def _at(form: tuple, maxes) -> IntVec:
+    """A form's cleared slope where each max node k takes the slope maxes[k]."""
+    _, slope, terms = form
+    for k, p, q in terms:
+        slope = tuple(x + p * y // q for x, y in zip(slope, maxes[k]))
+    return slope
 
 
 # ---------------------------------------------------------------------------
 # compilation to a support function
 # ---------------------------------------------------------------------------
 
-def candidate_hyperplanes(expr: Expr, dim: int, table=None) -> tuple[Hyperplane, ...]:
+def candidate_hyperplanes(expr: Expr, dim: int, lowered=None) -> tuple[Hyperplane, ...]:
     """The seed of `compile_expression`: d independent normals among each
     max node's later arguments' slopes at the origin minus its first's,
-    nodes whose arguments hold no max first.  They span every difference of
-    two slopes two arguments of one max can take, so coordinates join
-    (`_augmented`) exactly when those do not span.  Without the cleared
-    slope `table` the homogeneity check runs first."""
-    table = _check_homogeneous(expr, dim)[0] if table is None else table
-    origin = (0,) * dim
+    where every max takes its first argument, nodes whose arguments hold no
+    max first.  They span every difference of two slopes two arguments of
+    one max can take, so coordinates join (`_augmented`) exactly when those
+    do not span.  Without the `lowered` tree the homogeneity check runs
+    first."""
+    maxes = (_check_homogeneous(expr, dim) if lowered is None else lowered)[0]
+    at_origin = [None] * len(maxes)
+    for k in reversed(range(len(maxes))):  # each max node after those beneath it
+        at_origin[k] = _at(maxes[k][0], at_origin)
     planes = []
-    for node in sorted((node for node in _walk(expr) if isinstance(node, Max)),
-                       key=lambda node: any(id(arg) not in table for arg in node.args)):
-        first, *rest = (_slope(arg, origin, table) for arg in node.args)
+    for args in sorted(maxes, key=lambda args: any(terms for *_, terms in args)):
+        first, *rest = (_at(arg, at_origin) for arg in args)
         planes += [hyperplane(vsub(slope, first), EXTENDED) for slope in rest if slope != first]
     planes = _augmented(planes, dim)
     return tuple(planes[i] for i in independent_rows([h.normal for h in planes]))
@@ -351,44 +359,25 @@ def candidate_hyperplanes(expr: Expr, dim: int, table=None) -> tuple[Hyperplane,
 
 def compile_expression(expr: Expr, dim: int) -> SupportFunction:
     """Support function of a parsed expression: the cells of the seed
-    (`candidate_hyperplanes`) cut at each max node, after the max nodes in
-    it, by `fan._cut_at_max` on the slopes its arguments take at each
-    cone's probe (`_slope`, which also reads the final slopes).  Each cut
-    is a difference of two slopes two arguments of one max can take, so
-    every cone is a union of cells of the arrangement of all of them.  Ties
-    at a probe, where the arguments are linear, hold on the whole cone."""
-    table, denominator = _check_homogeneous(expr, dim)
-    seed = candidate_hyperplanes(expr, dim, table)
-    cones = _arrangement_cells(seed, dim)
-    for node in reversed(list(_walk(expr))):  # each node after its descendants
-        if isinstance(node, Max):
-            cones = [piece for cone in cones for probe in [cone.interior_point()]
-                     for piece in _cut_at_max([cone], [_slope(a, probe, table) for a in node.args])]
-    cuts = [Hyperplane(sign_canonical(n), EXTENDED) for cone in cones for n in cone.halfspaces]
-    fan = _assemble_fan(cones, dim, seed, cuts)
+    (`candidate_hyperplanes`) cut at each max node, after the max nodes
+    beneath it, by `fan._cut_at_max` on its arguments' forms at the maxes
+    of each piece so far, which then keeps its max.  Each cone's slope is
+    the function's form at its maxes.  Each cut is a difference of two
+    slopes two arguments of one max can take, so every cone is a union of
+    cells of the arrangement of all of them."""
+    lowered = _check_homogeneous(expr, dim)
+    seed = candidate_hyperplanes(expr, dim, lowered)
+    maxes, root, denominator = lowered
+    pieces = [(cone, (None,) * len(maxes)) for cone in _arrangement_cells(seed, dim)]
+    for k in reversed(range(len(maxes))):
+        pieces = [(piece, tops[:k] + (top,) + tops[k + 1:]) for cone, tops in pieces
+                  for piece, top in _cut_at_max([cone], [_at(arg, tops) for arg in maxes[k]])]
+    slopes = {frozenset(cone.rays): _at(root, tops) for cone, tops in pieces}
+    cuts = [Hyperplane(sign_canonical(n), EXTENDED) for cone, _ in pieces for n in cone.halfspaces]
+    fan = _assemble_fan([cone for cone, _ in pieces], dim, seed, cuts)
     return support_on_fan(fan, [
-        tuple(Fraction(x, denominator) for x in _slope(expr, cone.interior_point(), table))
+        tuple(Fraction(x, denominator) for x in slopes[frozenset(cone.rays)])
         for cone in fan.maximal_cones])
-
-
-def _slope(expr: Expr, point, table):
-    """Cleared slope of the linear piece chosen at an integer point; a node
-    that holds no max is read off the table.  A scaled slope is itself a
-    cleared slope of its node, so dividing by the coefficient's denominator
-    is exact."""
-    own = table.get(id(expr))
-    if own is not None:
-        return own
-    if isinstance(expr, Neg):
-        return vneg(_slope(expr.arg, point, table))
-    if isinstance(expr, Scale):
-        p, q = expr.coeff.numerator, expr.coeff.denominator
-        return tuple(p * x // q for x in _slope(expr.arg, point, table))
-    if isinstance(expr, Sum):
-        return tuple(map(sum, zip(*(_slope(t, point, table) for t in expr.terms))))
-    # a Max, where every constant is 0: its first argmax at the point
-    return max((_slope(arg, point, table) for arg in expr.args),
-               key=lambda slope: vdot(slope, point))
 
 
 def parse_and_compile(text: str, dim: int) -> SupportFunction:

@@ -1,11 +1,14 @@
 """Central polyhedral fans of unbiased ReLU networks.
 
 Every fan here is cut by one routine, `_cut_at_max`, which splits cones
-where the first argmax of a list of integer covectors changes.  A central
-arrangement cuts the 2^d simplicial cells of d independent normals by each
-remaining normal n as max(n, 0); the ReLU fan cuts each maximal cone by each
-deeper neuron as max(phi, 0), phi its row pulled back at the cone's probe
-(its interior point).  Each split is one exact double-description step on
+where the first argmax of a list of integer covectors changes and reports
+that max on each piece; a cut that vanishes on a cone keeps the earlier
+covector.  A central arrangement cuts the 2^d simplicial cells of d
+independent normals by each remaining normal n as max(n, 0); the ReLU fan
+cuts each maximal cone by each deeper neuron as max(phi, 0), phi its row
+pulled back at the cone's probe (its interior point); both ignore the max.
+An expression cuts at each of its max nodes and keeps the max as that
+node's slope on the piece.  Each split is one exact double-description step on
 integers, so cones carry both their extreme rays and an irredundant inward
 facet description, and no cell is ever enumerated that does not exist.
 Each cone also keeps which rays lie on each of its facets, as the step that
@@ -187,21 +190,24 @@ def cone_from_rays(rays, dim: int) -> Cone:
     return Cone(rays, tuple(n for n, _ in facets), tuple(t for _, t in facets), dim)
 
 
-def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
-    """Split a maximal cone along a hyperplane through its interior.
+def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone | None, Cone | None]:
+    """A maximal cone's (negative side, positive side) of a hyperplane.
 
-    Returns (negative side, positive side) or None when the hyperplane does
-    not separate the cone's interior.  This is one double-description step
-    in integers (:func:`crossing_rays`, :func:`keep_side`) on the zero sets
-    the cone's `facet_rays` give: it needs the cone's rays to be exactly its
-    extreme rays and its facets to be irredundant, which every cone this
-    engine makes satisfies; `cut`, any integer normal, is kept primitive.
-    Each edge the cut crosses yields one new ray.  A facet survives on a
-    side when one of its rays lies strictly on that side.
+    A cone the hyperplane does not cross is its own side, the positive one
+    when `cut` vanishes on it, and the other side is None.  A split is one
+    double-description step in integers (:func:`crossing_rays`,
+    :func:`keep_side`) on the zero sets the cone's `facet_rays` give: it
+    needs the cone's rays to be exactly its extreme rays and its facets to
+    be irredundant, which every cone this engine makes satisfies; `cut`,
+    any integer normal, is kept primitive.  Each edge the cut crosses yields
+    one new ray.  A facet survives on a side when one of its rays lies
+    strictly on that side.
     """
     products = [vdot(cut, r) for r in cone.rays]
-    if not (any(p > 0 for p in products) and any(p < 0 for p in products)):
-        return None
+    if min(products) >= 0:
+        return None, cone
+    if max(products) <= 0:
+        return cone, None
     cut, _ = normalize_primitive(cut)
     zero_sets = [frozenset(i for i, tight in enumerate(cone.facet_rays) if r in tight)
                  for r in cone.rays]
@@ -220,27 +226,22 @@ def _split_cone(cone: Cone, cut: IntVec) -> tuple[Cone, Cone] | None:
     return sides[0], sides[1]
 
 
-def _cut_at_max(cones, slopes) -> list[Cone]:
+def _cut_at_max(cones, slopes) -> list[tuple[Cone, IntVec]]:
     """The pieces of the cones on which the max of the integer covectors
-    `slopes` is linear.  Each piece carries its running max and is cut by it
-    minus the next covector: the negative half takes the new covector, the
-    positive half keeps the max, and an uncut piece takes the new one where
-    it is larger at its probe (ties keep the earlier; the last step skips it)."""
+    `slopes` is linear, each with that max: its first argmax.  Each piece
+    carries its running max and is cut by it minus the next covector: the
+    negative side takes the new covector and the positive side, where they
+    tie too, keeps the max."""
     first = slopes[0]
     pieces = [(cone, first) for cone in cones]
-    for k, slope in enumerate(slopes[1:], start=2):
+    for slope in slopes[1:]:
         from_first = vsub(first, slope)  # the cut of every piece whose max is `first`
         step = []
         for piece, top in pieces:
-            cut = from_first if top is first else vsub(top, slope)
-            halves = _split_cone(piece, cut)
-            if halves is not None:
-                step += [(halves[0], slope), (halves[1], top)]
-            else:
-                larger = k < len(slopes) and vdot(cut, piece.interior_point()) < 0
-                step.append((piece, slope if larger else top))
+            sides = _split_cone(piece, from_first if top is first else vsub(top, slope))
+            step += [(side, m) for side, m in zip(sides, (slope, top)) if side is not None]
         pieces = step
-    return [piece for piece, _ in pieces]
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def _arrangement_cells(merged, dim: int) -> list[Cone]:
         facet_rays = tuple(tuple(sorted(rays[:i] + rays[i + 1:])) for i in range(dim))
         cones.append(Cone(rays, halfspaces, facet_rays, dim))
     for cut in rest:
-        cones = _cut_at_max(cones, (cut, (0,) * dim))
+        cones = [piece for piece, _ in _cut_at_max(cones, (cut, (0,) * dim))]
     return cones
 
 
@@ -450,7 +451,7 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                         diagnostics.append(
                             f"neuron ({layer},{j}) is identically zero on a cone")
                     continue
-                refined = _cut_at_max(pieces, (phi, (0,) * dim))
+                refined = [piece for piece, _ in _cut_at_max(pieces, (phi, (0,) * dim))]
                 if len(refined) > len(pieces):
                     bent.append(hyperplane(phi, BENT, ((layer, j),)))
                 pieces = refined

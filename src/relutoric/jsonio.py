@@ -227,9 +227,11 @@ def decode_support(doc) -> SupportFunction:
 
 def decode_function(doc) -> SupportFunction:
     """A function document: {"dim": n, "expr": ...} or {"dim", "fan", "slopes"},
-    where "dim", when given, must be the fan's dimension."""
+    not both, where "dim", when given, must be the fan's dimension."""
     if not isinstance(doc, dict):
         raise DocumentError("function document must be an object")
+    if "expr" in doc and "fan" in doc:
+        raise DocumentError("document holds two inputs, 'expr' and 'fan'")
     if "expr" in doc:
         dim = decode_int(doc.get("dim", 0), "dim")
         if dim < 1:

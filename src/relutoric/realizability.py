@@ -147,7 +147,7 @@ def criterion_fan(s: SupportFunction) -> SupportFunction:
     planes = _augmented(nonlinear_locus_hyperplanes(s), dim)
     normals = {h.normal for h in planes}
     if all(w.normal in normals for w in s.fan.walls) and not any(
-            _split_cone(cone, n) for cone in s.fan.maximal_cones for n in normals):
+            None not in _split_cone(cone, n) for cone in s.fan.maximal_cones for n in normals):
         return SupportFunction(_assemble_fan(s.fan.maximal_cones, dim, planes), s.slopes)
     return transfer_support(s, central_fan(planes, dim))
 

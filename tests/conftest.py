@@ -7,7 +7,9 @@ divisor data, so it is an independent check of the intersection-number path.
 The reference compile at the end is how expressions compiled before they
 compiled by refinement: the arrangement of every candidate hyperplane.
 Beside it, the reference cut at a max rescans every earlier covector at
-every piece instead of carrying the running max.
+every piece instead of carrying the running max, and `walk` lists a tree's
+nodes in the pre-order the homogeneity message and the compile's seed
+follow.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from relutoric.exact_math import (
     vscale,
     vsub,
 )
-from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var, _walk
+from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var
 from relutoric.fan import (
     EXTENDED, _split_cone, augmented_central_fan, hyperplane, merge_hyperplanes)
 from relutoric.network import network
@@ -198,6 +200,21 @@ def reference_affine_forms(expr, dim: int) -> set:
     return out
 
 
+def walk(expr):
+    """Every node of an expression tree, in pre-order."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def children(expr) -> tuple:
+    if isinstance(expr, (Neg, Scale)):
+        return (expr.arg,)
+    return expr.terms if isinstance(expr, Sum) else expr.args if isinstance(expr, Max) else ()
+
+
 # The reference compile: the route `compile_expression` took before it
 # compiled by refinement.  Every affine form a node can take is enumerated
 # (Minkowski sums at every Sum), every difference of two forms of two
@@ -251,7 +268,7 @@ def reference_check_homogeneous(expr, forms) -> None:
     """The homogeneity check on the forms table: the first nonzero constant
     of a max argument's forms, max nodes in pre-order, then of the whole
     function's."""
-    for node in _walk(expr):
+    for node in walk(expr):
         if isinstance(node, Max):
             for arg in node.args:
                 for _, const in forms[id(arg)]:
@@ -294,7 +311,7 @@ def reference_value_and_slope(expr, point, dim: int, forms):
 def reference_candidate_hyperplanes(expr, dim: int, forms) -> tuple:
     """Every difference of two slopes two arguments of one max can take."""
     planes = []
-    for node in _walk(expr):
+    for node in walk(expr):
         if not isinstance(node, Max):
             continue
         form_sets = [forms[id(arg)] for arg in node.args]
@@ -318,15 +335,16 @@ def reference_compile_expression(expr, dim: int):
 
 
 def reference_cut_at_max(cones, slopes) -> list:
-    """`fan._cut_at_max` as the compile first wrote it: at every step each
-    piece rescans the earlier covectors for their first argmax at its probe,
-    and is cut by that argmax minus the next covector."""
+    """The pieces of `fan._cut_at_max` as the compile first wrote it: at
+    every step each piece rescans the earlier covectors for their first
+    argmax at its probe, and is cut by that argmax minus the next covector."""
     pieces = list(cones)
     for k in range(1, len(slopes)):
         refined = []
         for piece in pieces:
             point = piece.interior_point()
             top = max(slopes[:k], key=lambda slope: vdot(slope, point))
-            refined.extend(_split_cone(piece, vsub(top, slopes[k])) or (piece,))
+            refined.extend(side for side in _split_cone(piece, vsub(top, slopes[k]))
+                           if side is not None)
         pieces = refined
     return pieces

@@ -522,6 +522,18 @@ class TestInputBoundary:
         assert capsys.readouterr().err == f"job.json: {message}\n"
         assert not (jobs / "job.out.json").exists()
 
+    def test_nested_function_with_two_inputs(self, capsys, tmp_path):
+        # such a document used to be read as its expression, with exit 0
+        doc = {"function": dict(ONE_CONE_DOC, expr="max(x1, x2)")}
+        message = "document holds two inputs, 'expr' and 'fan'"
+        assert run_error(capsys, tmp_path, "newton", doc) == (2, f"error: {message}\n")
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "job.json").write_text(json.dumps({"command": "newton", "input": doc}))
+        assert main(["--batch", str(jobs)]) == 2
+        assert capsys.readouterr().err == f"job.json: {message}\n"
+        assert not (jobs / "job.out.json").exists()
+
     def test_non_list_layers(self, capsys, tmp_path):
         code, err = run_error(capsys, tmp_path, "intersect", {"layers": 5})
         assert code == 2
@@ -674,6 +686,25 @@ class TestInputBoundary:
         code, err = run_error(capsys, tmp_path, "eval", dict(GOLDEN_DOC, points=[[value, 1]]))
         assert code == 2
         assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("job, named", [
+        ({"command": "x" * 5000}, "unknown command str of length 5000"),
+        ({"command": "x" * 5000, "flags": {"m_max": 2}}, "unknown command str of length 5000"),
+        ({"command": ["fan"] * 3000}, "command must be a string, got list of length 3000"),
+        ({"command": "fan", "flags": {"f" * 3000: 1}}, "fan takes no flag str of length 3000"),
+        ({"command": "eval", "input": dict(GOLDEN_DOC, points=[[1, 1]], neuron=[1] * 3000)},
+         "'neuron' must be [layer, index], got list of length 3000"),
+    ], ids=["long-command", "long-command-with-flag", "list-command", "long-flag",
+            "long-neuron"])
+    def test_long_job_values_named_by_kind_and_length(self, capsys, tmp_path, job, named):
+        # each line used to echo the whole value, 3000 to 17000 characters
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "job.json").write_text(json.dumps(dict({"input": GOLDEN_DOC}, **job)))
+        assert main(["--batch", str(jobs)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"job.json: {named}\n"
         assert len(err.encode()) < 200
 
 

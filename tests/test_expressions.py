@@ -41,6 +41,7 @@ from conftest import (
     reference_candidate_hyperplanes,
     reference_compile_expression,
     reference_value_and_slope,
+    walk,
 )
 
 
@@ -143,11 +144,11 @@ def reference_seed(expr, dim: int, forms) -> tuple:
     argument's slope at the origin and each later one's, and d independent
     normals among them, augmented when they are rank-deficient."""
     def holds_max(node):
-        return any(isinstance(n, Max) for n in expressions._walk(node))
+        return any(isinstance(n, Max) for n in walk(node))
 
     origin = (F(0),) * dim
     planes = []
-    for node in sorted((n for n in expressions._walk(expr) if isinstance(n, Max)),
+    for node in sorted((n for n in walk(expr) if isinstance(n, Max)),
                        key=lambda n: any(holds_max(arg) for arg in n.args)):
         first, *rest = (reference_value_and_slope(arg, origin, dim, forms)[1]
                         for arg in node.args)
@@ -176,12 +177,12 @@ class TestAffineFormsAgainstReference:
     def test_table_holds_every_node(self, case):
         dim, expr = case
         table = forms_table(expr, dim)
-        for node in expressions._walk(expr):
+        for node in walk(expr):
             assert list(table[id(node)]) == list(reference_affine_forms(node, dim))
 
     def test_table_built_once_per_compile(self, monkeypatch):
         expr = parse_expression(SIXPIECE_EXPR, 2)
-        nodes = len(list(expressions._walk(expr)))
+        nodes = len(list(walk(expr)))
         tables, visits = [], []
         build, visit = conftest.forms_table, conftest.node_forms
         monkeypatch.setattr(conftest, "forms_table",

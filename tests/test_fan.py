@@ -523,8 +523,10 @@ def reference_facet_incidence(cones):
 
 def reference_split_cone(cone, cut):
     products = [vdot(cut, r) for r in cone.rays]
-    if not (any(p > 0 for p in products) and any(p < 0 for p in products)):
-        return None
+    if not any(p < 0 for p in products):
+        return None, cone
+    if not any(p > 0 for p in products):
+        return cone, None
     tight = [frozenset(i for i, n in enumerate(cone.halfspaces) if vdot(n, r) == 0)
              for r in cone.rays]
     new_rays = [r for r, _ in crossing_rays(cone.rays, tight, products, cone.dim)]
@@ -573,10 +575,9 @@ def reference_build_relu_fan(net):
                 if any(phi):
                     cut = rational_to_primitive(phi)
                     split = [reference_split_cone(piece, cut) for piece in pieces]
-                    if any(split):
+                    if any(None not in sides for sides in split):
                         bent.append(Hyperplane(sign_canonical(cut), BENT, ((layer, j),)))
-                    pieces = [q for piece, halves in zip(pieces, split)
-                              for q in (halves or (piece,))]
+                    pieces = [q for sides in split for q in sides if q is not None]
             next_cones.extend(pieces)
             next_prefix.extend(_activated(functionals, piece) for piece in pieces)
         cones, prefix = next_cones, next_prefix
@@ -769,9 +770,14 @@ class TestSplittingEngine:
                            [(1, 0, 1), (0, 1, 1), (0, -1, 1)])
 
     def test_cut_along_a_facet_does_not_split(self):
+        # an uncrossed cone is its own side, the positive one where the cut
+        # vanishes on a face or on the whole cone
         octant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-        assert _split_cone(octant, (1, 0, 0)) is None
-        assert _split_cone(octant, (1, 1, 0)) is None
+        for cut in ((1, 0, 0), (1, 1, 0), (0, 0, 0)):
+            neg, pos = _split_cone(octant, cut)
+            assert neg is None and pos is octant
+        neg, pos = _split_cone(octant, (-1, -1, 0))
+        assert neg is octant and pos is None
 
 
 @st.composite
@@ -794,18 +800,22 @@ class TestCutAtMaxAgainstRescan:
     @given(orthants_and_covectors())
     def test_same_pieces_in_the_same_order(self, case):
         dim, cells, slopes = case
-        assert _cut_at_max(cells, slopes) == reference_cut_at_max(cells, slopes)
+        pieces = [piece for piece, _ in _cut_at_max(cells, slopes)]
+        assert pieces == reference_cut_at_max(cells, slopes)
 
     @settings(max_examples=100, deadline=None)
     @given(orthants_and_covectors())
     def test_pieces_form_a_fan_on_which_the_max_is_linear(self, case):
+        # and each piece reports its max: the first covector that is >= every
+        # covector on every ray of the piece
         dim, cells, slopes = case
-        pieces = _cut_at_max(cells, slopes)
-        assert validate_fan(_assemble_fan(pieces, dim, ())).valid
-        for piece in pieces:
-            probe = piece.interior_point()
-            top = max(slopes, key=lambda slope: vdot(slope, probe))  # the first argmax
-            assert all(vdot(top, r) >= vdot(slope, r) for slope in slopes for r in piece.rays)
+        cut = _cut_at_max(cells, slopes)
+        assert validate_fan(_assemble_fan([piece for piece, _ in cut], dim, ())).valid
+        for piece, top in cut:
+            tops = [slope for slope in slopes
+                    if all(vdot(slope, r) >= vdot(other, r)
+                           for other in slopes for r in piece.rays)]
+            assert tops and top is tops[0]
 
 
 @st.composite
@@ -880,7 +890,10 @@ class TestFacetRecordAgainstPairing:
         cut = rational_to_primitive(data.draw(
             st.tuples(*[st.integers(-3, 3)] * dim).filter(any), label="cut"))
         for cone in fan.maximal_cones:
-            assert _split_cone(cone, cut) == reference_split_cone(cone, cut)
+            sides = _split_cone(cone, cut)
+            assert sides == reference_split_cone(cone, cut)
+            if None in sides:  # uncrossed: the cone itself, not a copy
+                assert any(side is cone for side in sides)
 
     @settings(max_examples=60, deadline=None)
     @given(random_nets(max_dim=4, max_width=3))

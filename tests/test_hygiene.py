@@ -47,13 +47,17 @@
 - One compile: `_forms_table`, `_node_forms` and `affine_forms` are absent
   from `src/`, so no expression's affine forms are enumerated again.
 - One cut routine: `fan._cut_at_max`, which cuts pieces where the first
-  argmax of a list of covectors changes, is the only caller of
-  `fan._split_cone` besides `realizability.criterion_fan`'s crossing test,
-  and it is called only by `fan._arrangement_cells` (a hyperplane n is the
-  max of n and 0), `fan.build_relu_fan` (a neuron is the max of its
-  pulled-back row and 0) and `expressions.compile_expression` (each max
-  node), so no module writes a split loop of its own.  `_refine` is
-  defined nowhere.
+  argmax of a list of covectors changes and reports each piece's max, is
+  the only caller of `fan._split_cone` besides
+  `realizability.criterion_fan`'s crossing test, and it is called only by
+  `fan._arrangement_cells` (a hyperplane n is the max of n and 0),
+  `fan.build_relu_fan` (a neuron is the max of its pulled-back row and 0)
+  and `expressions.compile_expression` (each max node), so no module writes
+  a split loop of its own.  `_refine` is defined nowhere.
+- Each max decided once: `expressions.py` calls no `interior_point`,
+  imports no `vdot` and defines no `_affine` or `_walk`, so no slope is
+  read at a probe; each max node's slope on a piece is the max
+  `_cut_at_max` reports.
 """
 
 from __future__ import annotations
@@ -255,6 +259,15 @@ def test_one_cut_routine():
         "fan._arrangement_cells", "fan.build_relu_fan", "expressions.compile_expression"}
     assert [(path.name, line) for path in SOURCES
             for line in defines(_tree(path), "_refine")] == []
+
+
+def test_each_max_decided_once():
+    tree = _tree(next(path for path in SOURCES if path.name == "expressions.py"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert name_uses(tree, "interior_point") == []
+    assert "vdot" not in imported
+    assert defines(tree, "_affine") == defines(tree, "_walk") == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

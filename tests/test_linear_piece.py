@@ -2,7 +2,7 @@
 
 `slopes_by_evaluation` samples each cone at `dim` interior points and solves
 for the slope from the values alone; it is the oracle here for the integer
-linear-piece path of `extract_support` and the integer slope walk of
+linear-piece path of `extract_support` and the integer slope forms of
 `compile_expression`.
 """
 
@@ -19,13 +19,11 @@ from relutoric.expressions import (
     Neg,
     Scale,
     Var,
-    _check_homogeneous,
-    _slope,
     compile_expression,
     evaluate_expression,
     parse_expression,
 )
-from relutoric.fan import build_relu_fan
+from relutoric.fan import _cut_at_max, _split_cone, build_relu_fan, cone_from_rays
 from relutoric.network import (
     cleared_layers,
     evaluate,
@@ -143,8 +141,25 @@ class TestExpressionSlopes:
         expr = Scale(F(-2), Max((Var(1), Var(2), Neg(Var(1)))))
         _assert_expression_matches(expr, 2)
 
+    # A max node's pieces and slopes come from `_cut_at_max`, so its tie
+    # conventions are pinned there.
+
     def test_max_takes_its_first_argmax(self):
-        for args, slope in [((Var(1), Var(2)), (1, 0)), ((Var(2), Var(1)), (0, 1))]:
-            expr = Max(args)
-            table, _ = _check_homogeneous(expr, 2)
-            assert _slope(expr, (1, 1), table) == slope
+        # equal covectors keep the earlier one, the very object
+        quadrant = cone_from_rays([(1, 0), (0, 1)], 2)
+        first, equal = (1, 0), tuple([1, 0])
+        assert first == equal and first is not equal
+        for slopes in ([first, equal], [first, (-1, 0), equal], [(0, 0), first, equal]):
+            [(piece, top)] = _cut_at_max([quadrant], slopes)
+            assert piece is quadrant and top is first
+
+    def test_vanishing_cut_sends_a_cone_to_the_positive_side(self):
+        # the cut is the running max minus the next covector: where it is
+        # >= 0 on the whole cone the max is kept, where it is <= 0 and not
+        # 0 the next covector takes over
+        quadrant = cone_from_rays([(1, 0), (0, 1)], 2)
+        assert _split_cone(quadrant, (0, 0)) == (None, quadrant)
+        assert _split_cone(quadrant, (1, 0)) == (None, quadrant)
+        assert _split_cone(quadrant, (-1, 0)) == (quadrant, None)
+        assert _cut_at_max([quadrant], [(1, 1), (0, 1)]) == [(quadrant, (1, 1))]
+        assert _cut_at_max([quadrant], [(0, 1), (1, 1)]) == [(quadrant, (1, 1))]
