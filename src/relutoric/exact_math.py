@@ -83,12 +83,10 @@ def normalize_primitive(v) -> tuple[IntVec, int]:
 
     The direction is preserved; only the positive gcd is divided out.
     """
-    v = tuple(int(x) for x in v)
-    if is_zero_vector(v):
+    v = tuple(map(int, v))
+    g = gcd(*v)
+    if g == 0:
         raise ZeroVector("cannot normalize the zero vector")
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in v), g
 
 

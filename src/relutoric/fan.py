@@ -3,16 +3,19 @@
 Every fan here is cut by one routine, `_cut_at_max`, which splits cones
 where the first argmax of a list of integer covectors changes and reports
 that max on each piece; a cut that vanishes on a cone keeps the earlier
-covector.  A central arrangement cuts the 2^d simplicial cells of d
+covector.  A central arrangement cuts the simplicial cells of d
 independent normals by each remaining normal n as max(n, 0); the ReLU fan
 cuts each maximal cone by each deeper neuron as max(phi, 0), phi its row
 pulled back at the cone's probe (its interior point); both ignore the max.
-An expression cuts at each of its max nodes and keeps the max as that
-node's slope on the piece.  Each split is one exact double-description step on
-integers, so cones carry both their extreme rays and an irredundant inward
-facet description, and no cell is ever enumerated that does not exist.
-Each cone also keeps which rays lie on each of its facets, as the step that
-made it found them, and the walls of the fan are read off that record.
+The arrangement is centrally symmetric, so only the 2^(d-1) cells on the
+positive side of the first normal are cut, and the other half of its cells
+are the negations of those pieces.  An expression cuts at each of its max
+nodes and keeps the max as that node's slope on the piece.  Each split is
+one exact double-description step on integers, so cones carry both their
+extreme rays and an irredundant inward facet description, and no cell is
+ever enumerated that does not exist.  Each cone also keeps which rays lie
+on each of its facets, as the step that made it found them, and the walls
+of the fan are read off that record.
 
 Deterministic ordering: in the plane, rays and maximal cones are sorted
 counterclockwise starting from the positive x-axis, which matches the usual
@@ -364,9 +367,14 @@ def _arrangement_cells(merged, dim: int) -> list[Cone]:
 
     The first d independent normals, in the given order, cut space into 2^d
     simplicial cells; ray i of a cell lies on each of its facets but the
-    i-th.  Every cell is then split by each remaining normal.  Raises
-    NotEssential when the normals do not span the ambient space (the complex
-    then has a lineality space and is only a generalized fan).
+    i-th.  A central arrangement is centrally symmetric, so only the 2^(d-1)
+    cells on the positive side of the first normal are split by each
+    remaining normal; the cells are those pieces followed by their
+    negations, which share each negated ray.  Negation reverses
+    lexicographic order, so a negated facet record stays sorted when
+    reversed.  Raises NotEssential when the normals do not span the ambient
+    space (the complex then has a lineality space and is only a generalized
+    fan).
     """
     if dim < 2:
         raise UnsupportedDimension(
@@ -380,14 +388,20 @@ def _arrangement_cells(merged, dim: int) -> list[Cone]:
             f"normals span rank {len(basis)} < {dim}; lineality remains")
     kernel = simplicial_rays(basis)
     cones = []
-    for signs in itertools.product((1, -1), repeat=dim):
+    for signs in itertools.product((1, -1), repeat=dim - 1):
+        signs = (1,) + signs
         rays = tuple(k if s > 0 else vneg(k) for s, k in zip(signs, kernel))
         halfspaces = tuple(n if s > 0 else vneg(n) for s, n in zip(signs, basis))
         facet_rays = tuple(tuple(sorted(rays[:i] + rays[i + 1:])) for i in range(dim))
         cones.append(Cone(rays, halfspaces, facet_rays, dim))
     for cut in rest:
         cones = [piece for piece, _ in _cut_at_max(cones, (cut, (0,) * dim))]
-    return cones
+    negated = {r: vneg(r) for cone in cones for r in cone.rays}
+    return cones + [Cone(tuple(negated[r] for r in cone.rays),
+                         tuple(vneg(n) for n in cone.halfspaces),
+                         tuple(tuple(negated[r] for r in reversed(tight))
+                               for tight in cone.facet_rays), dim)
+                    for cone in cones]
 
 
 def _augmented(hyperplanes, dim: int) -> tuple[Hyperplane, ...]:
@@ -425,19 +439,22 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
     """Canonical polyhedral complex of an unbiased network, as a fan.
 
     Starts from the cells of the first layer's arrangement (synthetically
-    augmented with coordinate hyperplanes when not essential), in their
-    canonical order, then refines cone by cone along the zero sets of each
-    deeper hidden layer's rows, pulled back at the cone's probe (its interior
-    point; the cone lies in one activation region of every earlier layer),
-    and assembles the fan once.  The output layer never refines.  The
-    pull-backs and sign tests run on `cleared_layers(net)`: a positive
-    multiple of a functional has the same signs and the same primitive cut.
+    augmented with coordinate hyperplanes when not essential), put in their
+    canonical order when a deeper layer is to cut them, then refines cone by
+    cone along the zero sets of each deeper hidden layer's rows, pulled back
+    at the cone's probe (its interior point; the cone lies in one activation
+    region of every earlier layer), and assembles the fan once.  The output
+    layer never refines.  The pull-backs and sign tests run on
+    `cleared_layers(net)`: a positive multiple of a functional has the same
+    signs and the same primitive cut.
     """
     if not net.is_unbiased:
         raise Biased("the toric pipeline requires an unbiased network")
     dim = net.input_dim
     planes = _augmented(layer_one_hyperplanes(net), dim)
-    cones = _sort_cones(_arrangement_cells(planes, dim), dim)
+    cones = _arrangement_cells(planes, dim)
+    if net.hidden_layers > 1:  # bent provenance follows the canonical cell order
+        cones = _sort_cones(cones, dim)
     layers, _ = cleared_layers(net)
     bent: list[Hyperplane] = []
     for layer in range(2, net.hidden_layers + 1):

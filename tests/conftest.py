@@ -5,7 +5,9 @@ The bend oracle below measures how much a function bends across a wall by
 exact second differences of function *values*; it never looks at slope or
 divisor data, so it is an independent check of the intersection-number path.
 The reference compile at the end is how expressions compiled before they
-compiled by refinement: the arrangement of every candidate hyperplane.
+compiled by refinement: the arrangement of every candidate hyperplane,
+whose cells the reference arrangement splits from all 2^d simplicial
+cells of a basis rather than from half of them.
 Beside it, the reference cut at a max rescans every earlier covector at
 every piece instead of carrying the running max, and `walk` lists a tree's
 nodes in the pre-order the homogeneity message and the compile's seed
@@ -14,6 +16,7 @@ follow.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,9 +26,11 @@ from hypothesis import strategies as st
 from relutoric.divisor import support_on_fan, wall_curve
 from relutoric.errors import InhomogeneousConstant
 from relutoric.exact_math import (
+    independent_rows,
     is_zero_vector,
     kernel_normal,
     pairing_one_solution,
+    simplicial_rays,
     vadd,
     vdot,
     vneg,
@@ -34,7 +39,15 @@ from relutoric.exact_math import (
 )
 from relutoric.expressions import Const, Max, Neg, Scale, Sum, Var
 from relutoric.fan import (
-    EXTENDED, _split_cone, augmented_central_fan, hyperplane, merge_hyperplanes)
+    EXTENDED,
+    Cone,
+    _assemble_fan,
+    _augmented,
+    _cut_at_max,
+    _split_cone,
+    hyperplane,
+    merge_hyperplanes,
+)
 from relutoric.network import network
 
 # Architecture (2, 3, 1; 1) computing max{0, x, y}; the pipeline's golden
@@ -328,10 +341,36 @@ def reference_candidate_hyperplanes(expr, dim: int, forms) -> tuple:
 def reference_compile_expression(expr, dim: int):
     forms = forms_table(expr, dim)
     reference_check_homogeneous(expr, forms)
-    fan = augmented_central_fan(reference_candidate_hyperplanes(expr, dim, forms), dim)
+    fan = reference_augmented_fan(reference_candidate_hyperplanes(expr, dim, forms), dim)
     return support_on_fan(fan, [
         reference_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
         for cone in fan.maximal_cones])
+
+
+def reference_arrangement_cells(merged, dim: int) -> list:
+    """The cells of `fan._arrangement_cells` of an essential arrangement,
+    built without its central symmetry: all 2^d simplicial cells of the
+    first d independent normals, each split by every remaining normal."""
+    normals = [h.normal for h in merged]
+    chosen = independent_rows(normals)
+    basis = [normals[i] for i in chosen]
+    rest = [n for i, n in enumerate(normals) if i not in chosen]
+    kernel = simplicial_rays(basis)
+    cones = []
+    for signs in itertools.product((1, -1), repeat=dim):
+        rays = tuple(k if s > 0 else vneg(k) for s, k in zip(signs, kernel))
+        halfspaces = tuple(n if s > 0 else vneg(n) for s, n in zip(signs, basis))
+        facet_rays = tuple(tuple(sorted(rays[:i] + rays[i + 1:])) for i in range(dim))
+        cones.append(Cone(rays, halfspaces, facet_rays, dim))
+    for cut in rest:
+        cones = [piece for piece, _ in _cut_at_max(cones, (cut, (0,) * dim))]
+    return cones
+
+
+def reference_augmented_fan(hyperplanes, dim: int):
+    """`fan.augmented_central_fan` assembled from the reference cells."""
+    merged = _augmented(hyperplanes, dim)
+    return _assemble_fan(reference_arrangement_cells(merged, dim), dim, merged)
 
 
 def reference_cut_at_max(cones, slopes) -> list:

@@ -35,7 +35,32 @@ def triangle_count_oracle(m: int) -> int:
     return sum(1 for x in range(-m, 1) for y in range(-m, 1) if x + y >= -m)
 
 
+def reference_normalize_primitive(v):
+    """The coordinate gcd read by a loop over the coordinates."""
+    v = tuple(int(x) for x in v)
+    if all(x == 0 for x in v):
+        raise ZeroVector("cannot normalize the zero vector")
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in v), g
+
+
 class TestNormalizePrimitive:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-3, 3),
+                              st.fractions(max_denominator=5)), max_size=5))
+    def test_matches_the_coordinate_loop(self, v):
+        try:
+            expected = reference_normalize_primitive(v)
+        except ZeroVector as exc:
+            with pytest.raises(ZeroVector, match=str(exc)):
+                normalize_primitive(v)
+            return
+        got = normalize_primitive(v)
+        assert got == expected
+        assert all(type(x) is int for x in got[0]) and type(got[1]) is int
+
     def test_gcd_factoring(self):
         assert normalize_primitive((2, 4, -6)) == ((1, 2, -3), 2)
 

@@ -50,7 +50,15 @@ from relutoric.fan import (
 from relutoric.jsonio import decode_fan, encode_fan
 from relutoric.network import NeuronId, cleared_layers, evaluate, network, neuron_value
 from conftest import (
-    bend_oracle, in_cone, rand_point, rand_rational, random_nets, reference_cut_at_max)
+    bend_oracle,
+    in_cone,
+    rand_point,
+    rand_rational,
+    random_nets,
+    reference_arrangement_cells,
+    reference_augmented_fan,
+    reference_cut_at_max,
+)
 
 GOLDEN_RAYS = ((1, 0), (1, 1), (-1, 0), (-1, -1), (0, -1))
 
@@ -561,7 +569,7 @@ def reference_build_relu_fan(net):
     carries the linear map of its layer so far (`_activated` of the
     `_compose`d rows), instead of pulling rows back at a probe."""
     dim = net.input_dim
-    base = augmented_central_fan(layer_one_hyperplanes(net), dim)
+    base = reference_augmented_fan(layer_one_hyperplanes(net), dim)
     layers, _ = cleared_layers(net)
     cones = list(base.maximal_cones)
     prefix = [_activated(layers[0], cone) for cone in cones]
@@ -778,6 +786,65 @@ class TestSplittingEngine:
             assert neg is None and pos is octant
         neg, pos = _split_cone(octant, (-1, -1, 0))
         assert neg is octant and pos is None
+
+
+@st.composite
+def normal_sets(draw):
+    """1-6 integer normals in [-3, 3]^d, d = 2..4, each followed by up to two
+    of its multiples by -2, -1 or 2, shuffled: parallel, duplicate and
+    rank-deficient sets are all common."""
+    dim = draw(st.integers(2, 4))
+    base = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim).filter(any),
+                         min_size=1, max_size=6))
+    normals = []
+    for n in base:
+        normals.append(n)
+        for k in draw(st.lists(st.sampled_from((-2, -1, 2)), max_size=2)):
+            normals.append(tuple(k * x for x in n))
+    return dim, draw(st.permutations(normals))
+
+
+def _as_sets(rays, halfspaces, facet_rays):
+    return frozenset(rays), frozenset(zip(halfspaces, map(frozenset, facet_rays)))
+
+
+class TestArrangementAgainstAllCells:
+    """Half the simplicial cells, split and then negated, give the fan that
+    splitting all 2^d of them gives (`reference_arrangement_cells`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(normal_sets())
+    def test_same_fan_as_the_reference_cells(self, case):
+        dim, normals = case
+        planes = [hyperplane(n) for n in normals]
+        merged = merge_hyperplanes(planes)
+        if mat_rank([h.normal for h in merged]) == dim:
+            assert central_fan(planes, dim) == _assemble_fan(
+                reference_arrangement_cells(merged, dim), dim, merged)
+        fan = augmented_central_fan(planes, dim)
+        assert fan == reference_augmented_fan(planes, dim)
+        cones = {_as_sets(c.rays, c.halfspaces, c.facet_rays) for c in fan.maximal_cones}
+        for c in fan.maximal_cones:
+            assert _as_sets(map(vneg, c.rays), map(vneg, c.halfspaces),
+                            [map(vneg, tight) for tight in c.facet_rays]) in cones
+
+    @pytest.mark.parametrize("dim, count", [(4, 8), (3, 10), (2, 9)])
+    def test_each_split_is_made_once(self, monkeypatch, dim, count):
+        # each split adds one cell, and only the half of the cells on the
+        # positive side of the first normal is split
+        splits = []
+
+        def counted(cone, cut):
+            sides = _split_cone(cone, cut)
+            if None not in sides:
+                splits.append(cut)
+            return sides
+
+        monkeypatch.setattr(fan_module, "_split_cone", counted)
+        normals = _generic_normals(random.Random(200 + dim), dim, count)
+        fan = central_fan([hyperplane(n) for n in normals], dim)
+        assert len(fan.maximal_cones) == _zaslavsky(count, dim)
+        assert len(splits) == (len(fan.maximal_cones) - 2 ** dim) // 2
 
 
 @st.composite
