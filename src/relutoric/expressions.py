@@ -372,12 +372,10 @@ def compile_expression(expr: Expr, dim: int) -> SupportFunction:
     for k in reversed(range(len(maxes))):
         pieces = [(piece, tops[:k] + (top,) + tops[k + 1:]) for cone, tops in pieces
                   for piece, top in _cut_at_max([cone], [_at(arg, tops) for arg in maxes[k]])]
-    slopes = {frozenset(cone.rays): _at(root, tops) for cone, tops in pieces}
     cuts = [Hyperplane(sign_canonical(n), EXTENDED) for cone, _ in pieces for n in cone.halfspaces]
-    fan = _assemble_fan([cone for cone, _ in pieces], dim, seed, cuts)
+    fan, order = _assemble_fan([cone for cone, _ in pieces], dim, seed, cuts)
     return support_on_fan(fan, [
-        tuple(Fraction(x, denominator) for x in slopes[frozenset(cone.rays)])
-        for cone in fan.maximal_cones])
+        tuple(Fraction(x, denominator) for x in _at(root, pieces[i][1])) for i in order])
 
 
 def parse_and_compile(text: str, dim: int) -> SupportFunction:

@@ -17,10 +17,12 @@ ever enumerated that does not exist.  Each cone also keeps which rays lie
 on each of its facets, as the step that made it found them, and the walls
 of the fan are read off that record.
 
-Deterministic ordering: in the plane, rays and maximal cones are sorted
-counterclockwise starting from the positive x-axis, which matches the usual
-way these fans are drawn; in higher dimension both are sorted
-lexicographically by their (sorted) generator tuples.
+Deterministic ordering: in the plane, rays, maximal cones and walls are
+sorted counterclockwise starting from the positive x-axis, which matches the
+usual way these fans are drawn; in higher dimension all three are sorted
+lexicographically by their (sorted) generator tuples.  Merged provenance
+lists a wall's neurons in sorted order, so no report depends on the order
+in which cones were cut.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def hyperplane(normal, kind: str = LAYER1, neurons=()) -> Hyperplane:
 
 def merge_hyperplanes(hyperplanes) -> tuple[Hyperplane, ...]:
     """Deduplicate by normal, keeping first-appearance order and merging
-    neuron provenance."""
+    neuron provenance into a sorted tuple."""
     order: list[IntVec] = []
     merged: dict[IntVec, Hyperplane] = {}
     for h in hyperplanes:
@@ -83,7 +85,7 @@ def merge_hyperplanes(hyperplanes) -> tuple[Hyperplane, ...]:
             merged[h.normal] = h
         else:
             old = merged[h.normal]
-            neurons = old.neurons + tuple(n for n in h.neurons if n not in old.neurons)
+            neurons = tuple(sorted({*old.neurons, *h.neurons}))
             kind = old.kind if old.kind != SYNTHETIC else h.kind
             merged[h.normal] = Hyperplane(old.normal, kind, neurons)
     return tuple(merged[n] for n in order)
@@ -266,20 +268,15 @@ def _ray_cmp_2d(a: IntVec, b: IntVec) -> int:
     return -1 if cross > 0 else 1
 
 
-def sort_rays(rays, dim: int) -> list[IntVec]:
+def canonical_order(items, dim: int, rays=lambda ray: (ray,)) -> list:
+    """The items in the canonical order of their ray tuples `rays(item)`: in
+    the plane counterclockwise from the positive x-axis by the first ray,
+    above lexicographically.  A ray's tuple is itself alone; a cone's is its
+    canonical rays (:func:`_canonical_cone`) and a wall's its generators."""
     if dim == 2:
-        return sorted(rays, key=cmp_to_key(_ray_cmp_2d))
-    return sorted(rays)
-
-
-def _sort_cones(cones, dim: int) -> list[Cone]:
-    """The cones made canonical (:func:`_canonical_cone`), in order: planar
-    ones by their counterclockwise start ray, which comes first."""
-    cones = [_canonical_cone(c, dim) for c in cones]
-    if dim == 2:
-        return sorted(cones, key=cmp_to_key(
-            lambda c1, c2: _ray_cmp_2d(c1.rays[0], c2.rays[0])))
-    return sorted(cones, key=lambda c: c.rays)
+        counterclockwise = cmp_to_key(_ray_cmp_2d)
+        return sorted(items, key=lambda item: counterclockwise(rays(item)[0]))
+    return sorted(items, key=rays)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +321,7 @@ def _walls_from_cones(cones, dim: int, provenance) -> tuple[Wall, ...]:
         kind, neurons = provenance.get(normal, (UNKNOWN, ()))
         indices = sorted(idx for idx, _ in incident)
         walls.append(Wall(tight, tuple(indices), normal, kind, neurons))
-    if dim == 2:
-        walls.sort(key=cmp_to_key(
-            lambda w1, w2: _ray_cmp_2d(w1.generators[0], w2.generators[0])))
-    else:
-        walls.sort(key=lambda w: w.generators)
-    return tuple(walls)
+    return tuple(canonical_order(walls, dim, lambda w: w.generators))
 
 
 def _canonical_cone(cone: Cone, dim: int) -> Cone:
@@ -343,27 +335,31 @@ def _canonical_cone(cone: Cone, dim: int) -> Cone:
     return Cone(rays, tuple(n for n, _ in facets), tuple(t for _, t in facets), dim)
 
 
-def _assemble_fan(cones, dim: int, hyperplanes, bent=()) -> Fan:
-    """Fan of the cones in canonical order.  A wall's provenance is that of
-    its hyperplane in `hyperplanes`, else of the merged `bent` cuts."""
-    cones = _sort_cones(cones, dim)
-    rays = sort_rays({r for c in cones for r in c.rays}, dim)
+def _assemble_fan(cones, dim: int, hyperplanes, bent=()) -> tuple[Fan, list[int]]:
+    """Fan of the cones made canonical, in canonical order, and `order`:
+    `order[i]` is the index in `cones` of the cone that became the fan's
+    maximal cone i.  A wall's provenance is that of its hyperplane in
+    `hyperplanes`, else of the merged `bent` cuts."""
+    cones = [_canonical_cone(c, dim) for c in cones]
+    order = canonical_order(range(len(cones)), dim, lambda i: cones[i].rays)
+    cones = [cones[i] for i in order]
+    rays = canonical_order({r for c in cones for r in c.rays}, dim)
     provenance = {h.normal: (h.kind, h.neurons)
                   for h in merge_hyperplanes(bent) + tuple(hyperplanes)}
     walls = _walls_from_cones(cones, dim, provenance)
-    return Fan(dim, tuple(rays), tuple(cones), walls, tuple(hyperplanes))
+    return Fan(dim, tuple(rays), tuple(cones), walls, tuple(hyperplanes)), order
 
 
 def central_fan(hyperplanes, dim: int) -> Fan:
     """Fan of a central hyperplane arrangement: the assembly of its cells
     (:func:`_arrangement_cells`)."""
     merged = merge_hyperplanes(hyperplanes)
-    return _assemble_fan(_arrangement_cells(merged, dim), dim, merged)
+    return _assemble_fan(_arrangement_cells(merged, dim), dim, merged)[0]
 
 
 def _arrangement_cells(merged, dim: int) -> list[Cone]:
     """Maximal cones of the arrangement of the merged hyperplanes, built by
-    splitting; :func:`_sort_cones` puts them in canonical order.
+    splitting; :func:`_assemble_fan` puts them in canonical order.
 
     The first d independent normals, in the given order, cut space into 2^d
     simplicial cells; ray i of a cell lies on each of its facets but the
@@ -439,12 +435,11 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
     """Canonical polyhedral complex of an unbiased network, as a fan.
 
     Starts from the cells of the first layer's arrangement (synthetically
-    augmented with coordinate hyperplanes when not essential), put in their
-    canonical order when a deeper layer is to cut them, then refines cone by
-    cone along the zero sets of each deeper hidden layer's rows, pulled back
-    at the cone's probe (its interior point; the cone lies in one activation
-    region of every earlier layer), and assembles the fan once.  The output
-    layer never refines.  The pull-backs and sign tests run on
+    augmented with coordinate hyperplanes when not essential), then refines
+    cone by cone along the zero sets of each deeper hidden layer's rows,
+    pulled back at the cone's probe (its interior point; the cone lies in one
+    activation region of every earlier layer), and assembles the fan once.
+    The output layer never refines.  The pull-backs and sign tests run on
     `cleared_layers(net)`: a positive multiple of a functional has the same
     signs and the same primitive cut.
     """
@@ -453,8 +448,6 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
     dim = net.input_dim
     planes = _augmented(layer_one_hyperplanes(net), dim)
     cones = _arrangement_cells(planes, dim)
-    if net.hidden_layers > 1:  # bent provenance follows the canonical cell order
-        cones = _sort_cones(cones, dim)
     layers, _ = cleared_layers(net)
     bent: list[Hyperplane] = []
     for layer in range(2, net.hidden_layers + 1):
@@ -474,7 +467,7 @@ def build_relu_fan(net: ValidatedNetwork, diagnostics: list | None = None) -> Fa
                 pieces = refined
             next_cones.extend(pieces)
         cones = next_cones
-    return _assemble_fan(cones, dim, planes, bent)
+    return _assemble_fan(cones, dim, planes, bent)[0]
 
 
 # ---------------------------------------------------------------------------

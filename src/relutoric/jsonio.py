@@ -197,32 +197,26 @@ def _proper_cone(cone: Cone, k: int) -> Cone:
 
 
 def decode_fan(doc) -> Fan:
-    return _complete_fan(*_documented_cones(doc))
+    return _complete_fan(*_documented_cones(doc))[0]
 
 
-def _complete_fan(dim: int, cones) -> Fan:
+def _complete_fan(dim: int, cones) -> tuple[Fan, list[int]]:
     """The fan of the cones, which must be a complete fan (see
-    `validate_fan`)."""
-    fan = _assemble_fan(cones, dim, ())
+    `validate_fan`), and the index of each of its cones in `cones`."""
+    fan, order = _assemble_fan(cones, dim, ())
     report = validate_fan(fan)
     if not report.valid:
         problem = "not a fan" if report.complete else "fan is not complete"
         raise DocumentError(f"{problem}: {report.violations[0]}")
-    return fan
+    return fan, order
 
 
 def decode_support(doc) -> SupportFunction:
-    dim, documented = _documented_cones(doc["fan"])
-    fan = _complete_fan(dim, documented)
+    fan, order = _complete_fan(*_documented_cones(doc["fan"]))
     slope_docs = doc.get("slopes")
     if not isinstance(slope_docs, list) or len(slope_docs) != len(fan.maximal_cones):
         raise DocumentError("need one slope vector per maximal cone")
-    # Hand-given cones may be listed in any order, each with its rays in any
-    # order; a documented cone has the sorted primitive rays of the
-    # assembled cone it becomes, and a valid fan lists no cone twice.
-    position = {d.rays: i for i, d in enumerate(documented)}
-    return support_on_fan(fan, [decode_vector(slope_docs[position[tuple(sorted(c.rays))]])
-                                for c in fan.maximal_cones])
+    return support_on_fan(fan, [decode_vector(slope_docs[i]) for i in order])
 
 
 def decode_function(doc) -> SupportFunction:

@@ -42,7 +42,6 @@ from .fan import (
     Hyperplane,
     _assemble_fan,
     _augmented,
-    _split_cone,
     augmented_central_fan,
     central_fan,
     cone_containing,
@@ -140,15 +139,17 @@ def nonlinear_locus_hyperplanes(s: SupportFunction) -> tuple[Hyperplane, ...]:
 def criterion_fan(s: SupportFunction) -> SupportFunction:
     """s transferred onto the central fan of the extended bend hyperplanes
     (synthetically augmented when rank-deficient).  When every wall of
-    s.fan lies on one of them and none cuts a cone of s.fan, each cone is a
-    cell: the canonical cones of s.fan, reassembled with the hyperplanes,
-    are the arrangement's in its order, and keep s.slopes."""
+    s.fan lies on one of them and none crosses a cone of s.fan (has rays on
+    both sides), each cone is a cell: s.fan's cones, reassembled with the
+    hyperplanes, are the arrangement's, each with its slope."""
     dim = s.fan.dim
     planes = _augmented(nonlinear_locus_hyperplanes(s), dim)
     normals = {h.normal for h in planes}
+    products = ([vdot(n, r) for r in cone.rays] for cone in s.fan.maximal_cones for n in normals)
     if all(w.normal in normals for w in s.fan.walls) and not any(
-            None not in _split_cone(cone, n) for cone in s.fan.maximal_cones for n in normals):
-        return SupportFunction(_assemble_fan(s.fan.maximal_cones, dim, planes), s.slopes)
+            min(p) < 0 < max(p) for p in products):
+        fan, order = _assemble_fan(s.fan.maximal_cones, dim, planes)
+        return SupportFunction(fan, tuple(s.slopes[i] for i in order))
     return transfer_support(s, central_fan(planes, dim))
 
 

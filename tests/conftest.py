@@ -370,7 +370,7 @@ def reference_arrangement_cells(merged, dim: int) -> list:
 def reference_augmented_fan(hyperplanes, dim: int):
     """`fan.augmented_central_fan` assembled from the reference cells."""
     merged = _augmented(hyperplanes, dim)
-    return _assemble_fan(reference_arrangement_cells(merged, dim), dim, merged)
+    return _assemble_fan(reference_arrangement_cells(merged, dim), dim, merged)[0]
 
 
 def reference_cut_at_max(cones, slopes) -> list:

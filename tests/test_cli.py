@@ -8,7 +8,7 @@ import pytest
 
 from relutoric import realizability
 from relutoric.cli import _HANDLERS, build_parser, main
-from relutoric.divisor import newton_polytope, support_of_network
+from relutoric.divisor import SupportFunction, newton_polytope, support_of_network
 from relutoric.exact_math import mixed_volume
 from relutoric.jsonio import decode_function, encode_fan, encode_rational, encode_vector
 from relutoric.network import network
@@ -329,6 +329,25 @@ class TestFunctionDocuments:
         assert code == 0
         assert run(capsys, tmp_path, "divisor", reversed_doc) == (0, expected)
         assert json.loads(expected)["slopes"] == slopes
+        # nets in space: each cone's slope follows it through every command
+        rng = random.Random(3)
+        commands = sorted(command for command, (_, kind) in _HANDLERS.items()
+                          if kind is SupportFunction and command != "render")
+        for arch in ([3, 4, 1], [4, 3, 2, 1]):
+            layers = [[[rng.randint(-3, 3) for _ in range(n_in)] for _ in range(n_out)]
+                      for n_in, n_out in zip(arch, arch[1:])]
+            s = support_of_network(network(layers))
+            ordered = {"fan": encode_fan(s.fan), "slopes": [encode_vector(m) for m in s.slopes]}
+            pairs = list(zip(ordered["fan"]["cones"], ordered["slopes"]))
+            rng.shuffle(pairs)
+            shuffled = {"fan": dict(ordered["fan"], cones=[rng.sample(c["rays"], len(c["rays"]))
+                                                          for c, _ in pairs]),
+                        "slopes": [m for _, m in pairs]}
+            assert shuffled["fan"]["cones"] != [c["rays"] for c in ordered["fan"]["cones"]]
+            for command in commands:  # `newton` exits 2 on these non-convex functions
+                expected = run(capsys, tmp_path, command, ordered)
+                assert expected[0] == (2 if command == "newton" else 0)
+                assert run(capsys, tmp_path, command, shuffled) == expected
 
 
 class TestTextFormat:

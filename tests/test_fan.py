@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import comb, gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relutoric.divisor import extract_support, intersection_number
 from relutoric.errors import Biased, NotEssential
@@ -37,13 +37,13 @@ from relutoric.fan import (
     _split_cone,
     augmented_central_fan,
     build_relu_fan,
+    canonical_order,
     central_fan,
     cone_containing,
     cone_from_rays,
     hyperplane,
     layer_one_hyperplanes,
     merge_hyperplanes,
-    sort_rays,
     validate_fan,
     wall_groups,
 )
@@ -52,6 +52,7 @@ from relutoric.network import NeuronId, cleared_layers, evaluate, network, neuro
 from conftest import (
     bend_oracle,
     in_cone,
+    nets,
     rand_point,
     rand_rational,
     random_nets,
@@ -61,6 +62,10 @@ from conftest import (
 )
 
 GOLDEN_RAYS = ((1, 0), (1, 1), (-1, 0), (-1, -1), (0, -1))
+# two walls of this net are bent by neurons (2, 1) and (2, 2), and the
+# canonical cell order meets (2, 2) first
+MERGED_NEURONS_NET = network([[[-1, -1], [1, -2], [1, 2], [-2, 1]],
+                              [[2, -1, -1, -2], [-1, 0, -1, 2]], [[1, 2]]])
 
 
 class TestCentralFan:
@@ -338,7 +343,7 @@ def reference_validate(fan):
 def _collection(cones, dim):
     """A Fan of the given cones, as a hand-built document would give it."""
     cones = tuple(cones)
-    return Fan(dim, tuple(sort_rays({r for c in cones for r in c.rays}, dim)), cones, ())
+    return Fan(dim, tuple(canonical_order({r for c in cones for r in c.rays}, dim)), cones, ())
 
 
 def _planar_collection(rays, step):
@@ -400,7 +405,7 @@ class TestLocalChecksAgainstReference:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(_COMPASS), min_size=5, max_size=11, unique=True)
-           .map(lambda rays: sort_rays(rays, 2)).filter(lambda rays: len(rays) % 2))
+           .map(lambda rays: canonical_order(rays, 2)).filter(lambda rays: len(rays) % 2))
     def test_winding_two_planar_fans(self, rays):
         # each cone skips a ray; with an odd count the cycle of cones goes
         # round the origin twice
@@ -589,7 +594,7 @@ def reference_build_relu_fan(net):
             next_cones.extend(pieces)
             next_prefix.extend(_activated(functionals, piece) for piece in pieces)
         cones, prefix = next_cones, next_prefix
-    return _assemble_fan(cones, dim, base.hyperplanes, bent)
+    return _assemble_fan(cones, dim, base.hyperplanes, bent)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +617,7 @@ def _arrangement_rays(normals, dim):
             active = [n for n in normals if vdot(n, cand) == 0]
             if mat_rank(active) == dim - 1:
                 rays.add(cand)
-    return sort_rays(rays, dim)
+    return canonical_order(rays, dim)
 
 
 def _planar_cells(rays):
@@ -687,7 +692,7 @@ def reference_central_fan(hyperplanes, dim):
         cones = _planar_cells(rays)
     else:
         cones = _cells_by_sign_vector(normals, rays, dim)
-    return _assemble_fan(cones, dim, merged)
+    return _assemble_fan(cones, dim, merged)[0]
 
 
 @st.composite
@@ -820,7 +825,7 @@ class TestArrangementAgainstAllCells:
         merged = merge_hyperplanes(planes)
         if mat_rank([h.normal for h in merged]) == dim:
             assert central_fan(planes, dim) == _assemble_fan(
-                reference_arrangement_cells(merged, dim), dim, merged)
+                reference_arrangement_cells(merged, dim), dim, merged)[0]
         fan = augmented_central_fan(planes, dim)
         assert fan == reference_augmented_fan(planes, dim)
         cones = {_as_sets(c.rays, c.halfspaces, c.facet_rays) for c in fan.maximal_cones}
@@ -877,7 +882,7 @@ class TestCutAtMaxAgainstRescan:
         # covector on every ray of the piece
         dim, cells, slopes = case
         cut = _cut_at_max(cells, slopes)
-        assert validate_fan(_assemble_fan([piece for piece, _ in cut], dim, ())).valid
+        assert validate_fan(_assemble_fan([piece for piece, _ in cut], dim, ())[0]).valid
         for piece, top in cut:
             tops = [slope for slope in slopes
                     if all(vdot(slope, r) >= vdot(other, r)
@@ -971,15 +976,27 @@ class TestFacetRecordAgainstPairing:
         assert json.dumps(encode_fan(fan)) == json.dumps(encode_fan(expected))
         assert fan == expected
 
-    def test_bent_provenance_follows_the_canonical_cell_order(self):
+    def test_bent_provenance_is_sorted(self):
         # the cut x + y = 0 comes from neuron (2, 1) in the second quadrant
-        # and from (2, 2) in the fourth; the seed cells list the fourth
-        # quadrant before the second, the canonical order after it
+        # and from (2, 2) in the fourth, which the seed cells cut first
         net = network([[[1, 0], [0, 1], [-1, 0], [0, -1]],
                        [[0, 1, -1, 0], [1, 0, 0, -1]], [[1, 1]]])
         fan = build_relu_fan(net)
         assert {w.neurons for w in fan.walls if w.kind == BENT} == {((2, 1), (2, 2))}
         assert fan == reference_build_relu_fan(net)
+        walls = encode_fan(build_relu_fan(MERGED_NEURONS_NET))["walls"]
+        assert [w["provenance"]["neurons"] for w in walls if w["provenance"]["kind"] == BENT
+                ] == [[[2, 1], [2, 2]], [[2, 2]], [[2, 1], [2, 2]]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(nets())
+    @example(MERGED_NEURONS_NET)
+    def test_relu_fan_does_not_depend_on_the_cell_order(self, net):
+        cells = fan_module._arrangement_cells
+        expected = encode_fan(build_relu_fan(net))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fan_module, "_arrangement_cells", lambda *args: cells(*args)[::-1])
+            assert encode_fan(build_relu_fan(net)) == expected
 
     def test_relu_fan_assembled_once(self, monkeypatch, golden_net):
         calls = []

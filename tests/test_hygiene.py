@@ -48,8 +48,7 @@
   from `src/`, so no expression's affine forms are enumerated again.
 - One cut routine: `fan._cut_at_max`, which cuts pieces where the first
   argmax of a list of covectors changes and reports each piece's max, is
-  the only caller of `fan._split_cone` besides
-  `realizability.criterion_fan`'s crossing test, and it is called only by
+  the only caller of `fan._split_cone`, and it is called only by
   `fan._arrangement_cells` (a hyperplane n is the max of n and 0),
   `fan.build_relu_fan` (a neuron is the max of its pulled-back row and 0)
   and `expressions.compile_expression` (each max node), so no module writes
@@ -58,6 +57,10 @@
   imports no `vdot` and defines no `_affine` or `_walk`, so no slope is
   read at a probe; each max node's slope on a piece is the max
   `_cut_at_max` reports.
+- One canonical order: `cmp_to_key` and `_ray_cmp_2d` are used only by
+  `fan.canonical_order`, which orders rays, cones and walls, and
+  `expressions.py` builds no `frozenset`, so no module re-keys a fan's
+  cones by their rays; `fan._assemble_fan` hands back each cone's place.
 """
 
 from __future__ import annotations
@@ -251,7 +254,7 @@ def test_one_compile_enumerates_no_forms(name):
 
 
 def test_one_split_loop():
-    assert users("_split_cone") == {"fan._cut_at_max", "realizability.criterion_fan"}
+    assert users("_split_cone") == {"fan._cut_at_max"}
 
 
 def test_one_cut_routine():
@@ -259,6 +262,12 @@ def test_one_cut_routine():
         "fan._arrangement_cells", "fan.build_relu_fan", "expressions.compile_expression"}
     assert [(path.name, line) for path in SOURCES
             for line in defines(_tree(path), "_refine")] == []
+
+
+def test_one_canonical_order():
+    assert users("cmp_to_key") == users("_ray_cmp_2d") == {"fan.canonical_order"}
+    tree = _tree(next(path for path in SOURCES if path.name == "expressions.py"))
+    assert name_uses(tree, "frozenset") == []
 
 
 def test_each_max_decided_once():

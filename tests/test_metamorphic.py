@@ -5,12 +5,20 @@ reference implementation.
 - A unimodular change of coordinates, f(x) -> f(Ux) with U in GL_d(Z): a
   linear form a.x of an expression becomes (aU).x, and a net's first layer
   W becomes W.U.  The fan maps by U^-1, so the cone count, the sorted
-  nonzero wall numbers, `classify`, `line_bundle_volume` and the realize
-  verdict stay the same.  The inputs are drawn so that no synthetic
+  nonzero wall numbers, `classify`, `line_bundle_volume`, the Ehrhart
+  counts and the realize verdict stay the same.  The inputs are drawn so that no synthetic
   coordinate hyperplane joins the fan, since those do not map by U^-1: an
   expression holds max(x1, .., xd, 0), and a net's first layer has rank d.
 - Scaling f by an integer k > 0 scales every wall number by k and
   `line_bundle_volume` by k^d.
+- A positive rescaling of a hidden neuron (its row times c > 0, the next
+  layer's column divided by c) leaves the `fan`, `divisor` and `intersect`
+  reports byte-identical.
+- A permutation of a hidden layer's neurons leaves the `divisor` report
+  byte-identical, and the `fan` report too once each wall's neurons are
+  relabelled and sorted.  A cone that two neurons of one deeper layer cut
+  along one hyperplane credits the cut to the first of them only, so there
+  the neurons are left out of the comparison.
 """
 
 import contextlib
@@ -23,24 +31,30 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 
 from relutoric.cli import main
-from relutoric.exact_math import mat_rank
+from relutoric.exact_math import mat_rank, rational_to_primitive, sign_canonical
+from relutoric.fan import build_relu_fan
+from relutoric.network import cleared_layers, network, pull_back
 
 COMMANDS = ("fan", "intersect", "classify", "volume", "realize")
 
 
-def _reports(doc: dict) -> dict:
-    """Each command's report on a job document, through `cli.main`."""
+def _texts(doc: dict, commands=COMMANDS) -> dict:
+    """Each command's report text on a job document, through `cli.main`."""
     out = {}
     with tempfile.TemporaryDirectory() as directory:
         path, report = Path(directory) / "input.json", Path(directory) / "report.json"
         path.write_text(json.dumps(doc))
-        for command in COMMANDS:
+        for command in commands:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main([command, "--input", str(path), "--output", str(report)])
             assert (code, err.getvalue()) == (0, "")
-            out[command] = json.loads(report.read_text())
+            out[command] = report.read_text()
     return out
+
+
+def _reports(doc: dict) -> dict:
+    return {command: json.loads(text) for command, text in _texts(doc).items()}
 
 
 def _wall_numbers(reports) -> list:
@@ -51,7 +65,8 @@ def _wall_numbers(reports) -> list:
 def _invariants(reports) -> tuple:
     """What a unimodular change of coordinates keeps."""
     return (len(reports["fan"]["cones"]), _wall_numbers(reports), reports["classify"],
-            F(reports["volume"]["line_bundle_volume"]), reports["realize"]["realizable"])
+            F(reports["volume"]["line_bundle_volume"]), reports["volume"]["ehrhart"],
+            reports["realize"]["realizable"])
 
 
 @st.composite
@@ -163,3 +178,65 @@ class TestIntegerScaling:
         assert _wall_numbers(scaled) == [k * n for n in _wall_numbers(base)]
         assert (F(scaled["volume"]["line_bundle_volume"])
                 == k ** dim * F(base["volume"]["line_bundle_volume"]))
+
+
+def _hidden_neuron(data, layers) -> tuple[int, int]:
+    """A hidden layer's index in `layers` and the index of one of its rows."""
+    layer = data.draw(st.integers(0, len(layers) - 2), label="layer")
+    return layer, data.draw(st.integers(0, len(layers[layer]) - 1), label="neuron")
+
+
+def _one_neuron_per_cut(layers, layer) -> bool:
+    """Whether no cone that hidden layer `layer` + 1 cuts meets the zero sets
+    of two of its neurons in one hyperplane, where only the first is
+    credited with the cut.  The first layer cuts all of space, and merged
+    provenance credits each of its rows."""
+    if layer == 0:
+        return True
+    cleared, _ = cleared_layers(network(layers))
+    earlier = network(layers[:layer] + [[[1] * len(layers[layer - 1])]])
+    for cone in build_relu_fan(earlier).maximal_cones:
+        normals = [sign_canonical(rational_to_primitive(phi))
+                   for phi in pull_back(cleared, cone.interior_point(), layer) if any(phi)]
+        if len(set(normals)) < len(normals):
+            return False
+    return True
+
+
+class TestHiddenNeurons:
+    @settings(max_examples=20, deadline=None)
+    @given(net_cases(), st.builds(F, st.integers(1, 4), st.integers(1, 3)), st.data())
+    def test_positive_rescaling(self, case, c, data):
+        _, layers, _ = case
+        layer, j = _hidden_neuron(data, layers)
+        scaled = [[[str(F(w)) for w in row] for row in rows] for rows in layers]
+        scaled[layer][j] = [str(c * w) for w in layers[layer][j]]
+        for row, out in zip(scaled[layer + 1], layers[layer + 1]):
+            row[j] = str(out[j] / c)
+        commands = ("fan", "divisor", "intersect")
+        assert (_texts({"layers": layers}, commands)
+                == _texts({"layers": scaled}, commands))
+
+    @settings(max_examples=20, deadline=None)
+    @given(net_cases(), st.data())
+    def test_permutation(self, case, data):
+        _, layers, _ = case
+        layer, _ = _hidden_neuron(data, layers)
+        order = data.draw(st.permutations(range(len(layers[layer]))), label="order")
+        moved = [list(rows) for rows in layers]
+        moved[layer] = [layers[layer][k] for k in order]
+        moved[layer + 1] = [[row[k] for k in order] for row in layers[layer + 1]]
+        new_index = {k + 1: i + 1 for i, k in enumerate(order)}
+        commands = ("fan", "divisor")
+        base, permuted = _texts({"layers": layers}, commands), _texts({"layers": moved}, commands)
+        assert base["divisor"] == permuted["divisor"]
+        expected, fan = json.loads(base["fan"]), json.loads(permuted["fan"])
+        exact = _one_neuron_per_cut(layers, layer)
+        for wall, moved_wall in zip(expected["walls"], fan["walls"]):
+            if exact:
+                wall["provenance"]["neurons"] = sorted(
+                    [n, new_index[k]] if n == layer + 1 else [n, k]
+                    for n, k in wall["provenance"]["neurons"])
+            else:
+                del wall["provenance"]["neurons"], moved_wall["provenance"]["neurons"]
+        assert expected == fan
