@@ -1,7 +1,8 @@
 """Toric divisors on ReLU fans: slope data, intersection numbers, polytopes.
 
-A support function is the pair (fan, one rational slope covector per maximal
-cone); it encodes a continuous piecewise linear function that is linear on
+A support function is a fan with integer covectors, one per maximal cone,
+over one positive denominator in lowest terms (`slopes` is the Fraction
+view); it encodes a continuous piecewise linear function that is linear on
 every cone.  Divisors are rational coefficient vectors indexed by fan rays.
 The two views are linked by the Cartier relation <m_sigma, u_rho> = -a_rho,
 and the bend of the support function across a wall is the intersection
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
 from .errors import (
@@ -35,6 +37,7 @@ from .exact_math import (
     frac,
     independent_rows,
     lattice_point_count,
+    lowest_terms,
     mat_rank,
     mixed_volume,
     pairing_one_solution,
@@ -51,20 +54,22 @@ from .network import ValidatedNetwork, cleared_layers, linear_piece
 
 @dataclass(frozen=True)
 class SupportFunction:
-    """A fan together with one slope covector per maximal cone."""
+    """Slope i is covectors[i] / denominator, a table `support_on_fan`
+    puts in lowest terms, so equal functions have equal tables."""
 
     fan: Fan
-    slopes: tuple[RatVec, ...]
+    covectors: tuple[IntVec, ...]
+    denominator: int
+
+    @cached_property
+    def slopes(self) -> tuple[RatVec, ...]:
+        return tuple(tuple(Fraction(x, self.denominator) for x in m) for m in self.covectors)
 
     def value(self, x) -> Fraction:
         x = ratvec(x)
         if len(x) != self.fan.dim:
             raise DimensionMismatch(f"point has dimension {len(x)}, expected {self.fan.dim}")
         return frac(vdot(self.slopes[cone_containing(self.fan, x)], x))
-
-    def clearing_multiple(self) -> int:
-        """Minimal positive integer l with all slopes of l*s integral."""
-        return common_integer_scale(self.slopes)[1]
 
 
 @dataclass(frozen=True)
@@ -84,30 +89,25 @@ class ConvexityReport:
     strictly_concave: bool
 
 
-def support_on_fan(fan: Fan, slopes) -> SupportFunction:
-    """Attach slope data to a fan, verifying continuity across every wall."""
-    slopes = tuple(ratvec(m) for m in slopes)
+def support_on_fan(fan: Fan, slopes, denominator: int = 1) -> SupportFunction:
+    """The support with slope slopes[i] / denominator on cone i: the slopes
+    (integer or rational) are cleared once into the lowest-terms table, and
+    the two covectors of every wall must pair equally with its generators."""
     if len(slopes) != len(fan.maximal_cones):
         raise ContinuityViolation(
             f"{len(slopes)} slopes for {len(fan.maximal_cones)} cones")
     for m in slopes:
         if len(m) != fan.dim:
             raise DimensionMismatch(f"a slope has {len(m)} entries, expected {fan.dim}")
-    s = SupportFunction(fan, slopes)
-    _check_continuity(s)
-    return s
-
-
-def _check_continuity(s: SupportFunction) -> None:
-    """Every wall generator pairs equally with the slopes on both sides;
-    tested on the slopes cleared once by their common denominator."""
-    slopes, _ = common_integer_scale(s.slopes)
-    for wall in s.fan.walls:
+    rows, mult = common_integer_scale(slopes)
+    covectors, denominator = lowest_terms(rows, mult * denominator)
+    for wall in fan.walls:
         i, j = wall.cones
         for w in wall.generators:
-            if vdot(slopes[i], w) != vdot(slopes[j], w):
+            if vdot(covectors[i], w) != vdot(covectors[j], w):
                 raise ContinuityViolation(
                     f"slopes disagree on wall {wall.generators}")
+    return SupportFunction(fan, tuple(covectors), denominator)
 
 
 def slopes_by_evaluation(fan: Fan, func) -> SupportFunction:
@@ -133,29 +133,25 @@ def slopes_by_evaluation(fan: Fan, func) -> SupportFunction:
         except RankDeficient as exc:
             raise SingularSample(str(exc)) from exc
         slopes.append(m)
-    s = SupportFunction(fan, tuple(slopes))
-    _check_continuity(s)
-    return s
+    return support_on_fan(fan, slopes)
 
 
 def extract_support(net: ValidatedNetwork, fan: Fan) -> SupportFunction:
     """Slope data of the network on a fan, one linear piece per cone.
 
-    Each maximal cone's slope is the network's linear piece at the cone's
-    interior point, read off in integers.  The fan must refine the net's
-    activation regions, as `build_relu_fan(net)` does.  On such a fan a
-    neuron's pre-activation vanishes at an interior point only if it
+    Each maximal cone's covector is the net's integer linear piece at its
+    interior point, over the cleared layers' scale.  The fan must refine the
+    net's activation regions, as `build_relu_fan(net)` does.  On such a fan
+    a neuron's pre-activation vanishes at an interior point only if it
     vanishes on the whole cone, so counting the tie as inactive cannot
     change the slope.  Continuity across every wall is still verified.
     """
     if net.input_dim != fan.dim:
         raise DimensionMismatch(
             f"fan has dimension {fan.dim}, network input {net.input_dim}")
-    cleared = cleared_layers(net)
-    s = SupportFunction(fan, tuple(linear_piece(cleared, cone.interior_point())
-                                   for cone in fan.maximal_cones))
-    _check_continuity(s)
-    return s
+    layers, scale = cleared_layers(net)
+    return support_on_fan(fan, [linear_piece(layers, cone.interior_point())
+                                for cone in fan.maximal_cones], scale)
 
 
 def support_of_network(net: ValidatedNetwork) -> SupportFunction:
@@ -168,15 +164,14 @@ def support_of_network(net: ValidatedNetwork) -> SupportFunction:
 
 def divisor_coefficients(s: SupportFunction) -> ToricDivisor:
     """Ray coefficients a_rho = -<m_sigma, u_rho>, checked to be independent
-    of the choice of incident maximal cone; paired on the cleared slopes."""
-    slopes, mult = common_integer_scale(s.slopes)
+    of the choice of incident maximal cone; paired on the integer table."""
     values = {}
-    for m, cone in zip(slopes, s.fan.maximal_cones):
+    for m, cone in zip(s.covectors, s.fan.maximal_cones):
         for ray in cone.rays:
             values.setdefault(ray, set()).add(-vdot(m, ray))
     coefficients = []
     for ray in s.fan.rays:
-        found = {Fraction(v, mult) for v in values.get(ray, ())}
+        found = {Fraction(v, s.denominator) for v in values.get(ray, ())}
         if len(found) != 1:
             raise InconsistentRayValue(
                 f"ray {ray} receives {sorted(found)}; continuity breach")
@@ -195,12 +190,12 @@ def support_from_divisor(D: ToricDivisor) -> SupportFunction:
         if solution is None:
             raise NotQCartier(idx)
         slopes.append(solution)
-    return SupportFunction(D.fan, tuple(slopes))
+    return support_on_fan(D.fan, slopes)
 
 
 def scale_support(s: SupportFunction, factor) -> SupportFunction:
     factor = frac(factor)
-    return SupportFunction(s.fan, tuple(vscale(factor, m) for m in s.slopes))
+    return support_on_fan(s.fan, [vscale(factor, m) for m in s.slopes])
 
 
 def negate_support(s: SupportFunction) -> SupportFunction:
@@ -271,7 +266,7 @@ def intersection_number(s: SupportFunction, wall: Wall) -> Fraction:
     phi = _oriented_normal(s.fan, wall)
     k = next(k for k, x in enumerate(phi) if x)
     i, j = wall.cones
-    return frac((s.slopes[i][k] - s.slopes[j][k]) / phi[k])
+    return Fraction(s.covectors[i][k] - s.covectors[j][k], phi[k] * s.denominator)
 
 
 def wall_numbers(s: SupportFunction) -> tuple[Fraction, ...]:
@@ -285,7 +280,7 @@ def classify_convexity(s: SupportFunction) -> ConvexityReport:
     numbers = wall_numbers(s)
     convex = all(n >= 0 for n in numbers)
     concave = all(n <= 0 for n in numbers)
-    distinct = len(set(s.slopes)) == len(s.slopes)
+    distinct = len(set(s.covectors)) == len(s.covectors)
     nowhere_flat = all(n != 0 for n in numbers)
     return ConvexityReport(
         convex=convex,

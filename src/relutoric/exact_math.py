@@ -479,6 +479,12 @@ def common_integer_scale(points) -> tuple[list[IntVec], int]:
     return [tuple(x.numerator * (mult // x.denominator) for x in p) for p in points], mult
 
 
+def lowest_terms(rows, denominator: int) -> tuple[list[IntVec], int]:
+    """Integer rows over a positive denominator, with their common factor out."""
+    g = gcd(denominator, *(x for row in rows for x in row))
+    return [tuple(x // g for x in row) for row in rows], denominator // g
+
+
 def lattice_point_count(P: RationalPolytope, m: int, interior: bool = False) -> int:
     """Exact number of integer points in the dilate m * P; with `interior`,
     in its relative interior.

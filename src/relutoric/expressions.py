@@ -374,8 +374,7 @@ def compile_expression(expr: Expr, dim: int) -> SupportFunction:
                   for piece, top in _cut_at_max([cone], [_at(arg, tops) for arg in maxes[k]])]
     cuts = [Hyperplane(sign_canonical(n), EXTENDED) for cone, _ in pieces for n in cone.halfspaces]
     fan, order = _assemble_fan([cone for cone, _ in pieces], dim, seed, cuts)
-    return support_on_fan(fan, [
-        tuple(Fraction(x, denominator) for x in _at(root, pieces[i][1])) for i in order])
+    return support_on_fan(fan, [_at(root, pieces[i][1]) for i in order], denominator)
 
 
 def parse_and_compile(text: str, dim: int) -> SupportFunction:

@@ -190,13 +190,12 @@ def pull_back(layers, probe: IntVec, depth: int) -> list[list[int]]:
     return covectors
 
 
-def linear_piece(cleared, probe: IntVec) -> RatVec:
-    """Slope covector of the network's linear piece at an integer probe: the
-    output row pulled back there (:func:`pull_back`), divided by the scale.
-    `cleared` is `cleared_layers(net)`."""
-    layers, scale = cleared
-    covector = pull_back(layers, probe, len(layers) - 1)[0]
-    return tuple(Fraction(c, scale) for c in covector)
+def linear_piece(layers, probe: IntVec) -> IntVec:
+    """Integer row of the network's linear piece at an integer probe: the
+    output row pulled back there (:func:`pull_back`).  `layers` are the
+    cleared layers of `cleared_layers(net)`, and the slope is this row over
+    their scale."""
+    return tuple(pull_back(layers, probe, len(layers) - 1)[0])
 
 
 def neuron_value(net: ValidatedNetwork, neuron: NeuronId, x) -> Fraction:

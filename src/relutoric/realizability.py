@@ -35,7 +35,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import CriterionFailed, DimensionMismatch
-from .exact_math import IntVec, RatVec, vdot, vsub
+from .exact_math import IntVec, RatVec, vdot, vscale, vsub
 from .fan import (
     EXTENDED,
     Fan,
@@ -109,18 +109,18 @@ def transfer_support(s: SupportFunction, fan: Fan) -> SupportFunction:
     (`cone_containing`)."""
     normals = [h.normal for h in fan.hyperplanes]
     table = {}
-    for cone, slope in zip(s.fan.maximal_cones, s.slopes):
+    for cone, covector in zip(s.fan.maximal_cones, s.covectors):
         products = [vdot(n, cone.interior_point()) for n in normals]
         if all(products):
-            table[tuple(p > 0 for p in products)] = slope
-    slopes = []
+            table[tuple(p > 0 for p in products)] = covector
+    covectors = []
     for cone in fan.maximal_cones:
         probe = cone.interior_point()
-        slope = table.get(tuple(vdot(n, probe) > 0 for n in normals))
-        if slope is None:
-            slope = s.slopes[cone_containing(s.fan, probe)]
-        slopes.append(slope)
-    return SupportFunction(fan, tuple(slopes))
+        covector = table.get(tuple(vdot(n, probe) > 0 for n in normals))
+        if covector is None:
+            covector = s.covectors[cone_containing(s.fan, probe)]
+        covectors.append(covector)
+    return SupportFunction(fan, tuple(covectors), s.denominator)
 
 
 def nonlinear_locus_hyperplanes(s: SupportFunction) -> tuple[Hyperplane, ...]:
@@ -132,7 +132,7 @@ def nonlinear_locus_hyperplanes(s: SupportFunction) -> tuple[Hyperplane, ...]:
     m_sigma - m_sigma' = c * phi, which is nonzero iff the slopes differ.
     """
     normals = {wall.normal for wall in s.fan.walls
-               if s.slopes[wall.cones[0]] != s.slopes[wall.cones[1]]}
+               if s.covectors[wall.cones[0]] != s.covectors[wall.cones[1]]}
     return tuple(Hyperplane(n, EXTENDED) for n in sorted(normals))
 
 
@@ -149,7 +149,7 @@ def criterion_fan(s: SupportFunction) -> SupportFunction:
     if all(w.normal in normals for w in s.fan.walls) and not any(
             min(p) < 0 < max(p) for p in products):
         fan, order = _assemble_fan(s.fan.maximal_cones, dim, planes)
-        return SupportFunction(fan, tuple(s.slopes[i] for i in order))
+        return SupportFunction(fan, tuple(s.covectors[i] for i in order), s.denominator)
     return transfer_support(s, central_fan(planes, dim))
 
 
@@ -201,10 +201,11 @@ def common_refinement(supports) -> list[SupportFunction]:
 
 def _linear_difference(f: SupportFunction, g: SupportFunction) -> tuple[bool, RatVec]:
     """Whether two supports on one fan differ by a linear function: the
-    slope difference on the first cone, asserted on every other cone."""
-    correction = vsub(f.slopes[0], g.slopes[0])
-    equal = all(vsub(a, b) == correction for a, b in zip(f.slopes, g.slopes))
-    return equal, correction
+    slope difference on the first cone, asserted on every other cone, in
+    the integers b * m - a * n for covectors m / a of f and n / b of g."""
+    a, b = f.denominator, g.denominator
+    cross = [vsub(vscale(b, m), vscale(a, n)) for m, n in zip(f.covectors, g.covectors)]
+    return all(c == cross[0] for c in cross), tuple(Fraction(x, a * b) for x in cross[0])
 
 
 def verify_up_to_linear(f: SupportFunction, net: ValidatedNetwork) -> tuple[bool, RatVec]:

@@ -1,6 +1,7 @@
 import itertools
+import random
 from fractions import Fraction as F
-from math import ceil, factorial, floor, gcd, prod
+from math import ceil, factorial, floor, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from relutoric.exact_math import (
     int_det,
     kernel_normal,
     lattice_point_count,
+    lowest_terms,
     mat_rank,
     mixed_volume,
     normalize_primitive,
@@ -78,6 +80,31 @@ class TestNormalizePrimitive:
         for v in [(2, 4, -6), (0, -5), (7,), (-3, 9, 0, 12)]:
             prim, scale = normalize_primitive(v)
             assert tuple(scale * p for p in prim) == v
+
+
+class TestLowestTerms:
+    """Rows over a denominator against the same entries as Fractions: the
+    entries keep their values, and the denominator is the lcm of theirs."""
+
+    def test_matches_fractions_on_random_rows(self):
+        rng = random.Random(26)
+        for _ in range(500):
+            width = rng.randint(1, 4)
+            rows = [tuple(rng.choice((0, rng.randint(-60, 60))) for _ in range(width))
+                    for _ in range(rng.randint(1, 5))]
+            denominator = rng.choice((1, rng.randint(1, 360)))
+            got, d = lowest_terms(rows, denominator)
+            values = [[F(x, denominator) for x in row] for row in rows]
+            assert d == lcm(*(x.denominator for row in values for x in row))
+            assert [[F(x, d) for x in row] for row in got] == values
+            assert all(type(x) is int for row in got for x in row)
+
+    def test_negative_entries(self):
+        assert lowest_terms([(-4, 6), (2, -10)], 8) == ([(-2, 3), (1, -5)], 4)
+
+    def test_all_zero_rows_come_over_one(self):
+        assert lowest_terms([(0, 0), (0, 0)], 6) == ([(0, 0), (0, 0)], 1)
+        assert lowest_terms([(0,)], 1) == ([(0,)], 1)
 
 
 class TestKernelNormal:

@@ -61,6 +61,15 @@
   `fan.canonical_order`, which orders rays, cones and walls, and
   `expressions.py` builds no `frozenset`, so no module re-keys a fan's
   cones by their rays; `fan._assemble_fan` hands back each cone's place.
+- One slope table: a `SupportFunction` holds integer covectors over one
+  denominator in lowest terms, made only by `divisor.support_on_fan`.
+  `common_integer_scale` is used only by `support_on_fan`,
+  `network.cleared_layers`, `exact_math.convex_hull` and
+  `exact_math.euclidean_volume`, and `lowest_terms` only by
+  `support_on_fan`; `network.linear_piece` and
+  `expressions.compile_expression` build no `Fraction`; and
+  `_check_continuity` and `clearing_multiple` are defined nowhere, so no
+  producer divides its integers and no consumer clears slopes again.
 """
 
 from __future__ import annotations
@@ -178,6 +187,11 @@ POINT_LOCATION_USERS = {"divisor.value", "realizability.transfer_support"}
 PULL_BACK_USERS = {"network.linear_piece", "fan.build_relu_fan"}
 
 
+# the one clearing of rational rows to integers -> its users
+INTEGER_SCALE_USERS = {"divisor.support_on_fan", "network.cleared_layers",
+                       "exact_math.convex_hull", "exact_math.euclidean_volume"}
+
+
 # the one shallow net constructor -> its users
 SHALLOW_NETWORK_USERS = {"network.reduce_shallow", "realizability.synthesize_shallow"}
 
@@ -277,6 +291,17 @@ def test_each_max_decided_once():
     assert name_uses(tree, "interior_point") == []
     assert "vdot" not in imported
     assert defines(tree, "_affine") == defines(tree, "_walk") == []
+
+
+def test_one_slope_table():
+    assert users("common_integer_scale") == INTEGER_SCALE_USERS
+    assert users("lowest_terms") == {"divisor.support_on_fan"}
+    assert {"network.linear_piece", "expressions.compile_expression"}.isdisjoint(
+        users("Fraction"))
+    for name in ("_check_continuity", "clearing_multiple"):
+        assert users(name) == set()
+        assert [(path.name, line) for path in SOURCES
+                for line in defines(_tree(path), name)] == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -3,16 +3,24 @@
 `slopes_by_evaluation` samples each cone at `dim` interior points and solves
 for the slope from the values alone; it is the oracle here for the integer
 linear-piece path of `extract_support` and the integer slope forms of
-`compile_expression`.
+`compile_expression`.  Both hand their integer rows and one denominator to
+`support_on_fan`, so a support function is one integer table in lowest
+terms whose `slopes` view is what the oracles read (`TestSlopeTable`).
 """
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relutoric.divisor import extract_support, slopes_by_evaluation
+from relutoric.divisor import (
+    extract_support,
+    slopes_by_evaluation,
+    support_of_network,
+    support_on_fan,
+)
 from relutoric.errors import DimensionMismatch
 from relutoric.expressions import (
     Max,
@@ -23,7 +31,9 @@ from relutoric.expressions import (
     evaluate_expression,
     parse_expression,
 )
+from relutoric.exact_math import vadd, vdot, vscale
 from relutoric.fan import _cut_at_max, _split_cone, build_relu_fan, cone_from_rays
+from relutoric.jsonio import decode_function, encode_fan, encode_vector
 from relutoric.network import (
     cleared_layers,
     evaluate,
@@ -32,7 +42,7 @@ from relutoric.network import (
     pull_back,
     reduce_shallow,
 )
-from conftest import expressions, nets, rand_point
+from conftest import expressions, forms_table, nets, rand_point, reference_value_and_slope
 
 
 def _assert_matches_evaluation(net, seed):
@@ -83,9 +93,9 @@ class TestNetworkSlopes:
 
     def test_tie_counts_as_inactive(self):
         # max(0, x1) at a point of its bending line takes the inactive piece
-        cleared = cleared_layers(network([[[1, 0]], [[1]]]))
-        assert linear_piece(cleared, (0, 1)) == (0, 0)
-        assert linear_piece(cleared, (1, 1)) == (1, 0)
+        layers, _ = cleared_layers(network([[[1, 0]], [[1]]]))
+        assert linear_piece(layers, (0, 1)) == (0, 0)
+        assert linear_piece(layers, (1, 1)) == (1, 0)
 
 
 class TestPullBack:
@@ -163,3 +173,62 @@ class TestExpressionSlopes:
         assert _split_cone(quadrant, (-1, 0)) == (quadrant, None)
         assert _cut_at_max([quadrant], [(1, 1), (0, 1)]) == [(quadrant, (1, 1))]
         assert _cut_at_max([quadrant], [(0, 1), (1, 1)]) == [(quadrant, (1, 1))]
+
+
+def _assert_lowest_terms(s):
+    """Integer covectors over a positive denominator sharing no factor with
+    all of them, and the table its own constructor gives back."""
+    assert s.denominator > 0
+    assert all(type(x) is int for m in s.covectors for x in m)
+    assert gcd(s.denominator, *(x for m in s.covectors for x in m)) == 1
+    assert support_on_fan(s.fan, s.slopes) == s
+
+
+class TestSlopeTable:
+    """One integer table per support function, whatever produced it, and
+    its Fraction view equals the slopes the oracles solve or probe."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(nets())
+    def test_nets(self, net):
+        fan = build_relu_fan(net)
+        s = extract_support(net, fan)
+        _assert_lowest_terms(s)
+        assert s.slopes == slopes_by_evaluation(fan, lambda p: evaluate(net, p)).slopes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda d: st.tuples(st.just(d), expressions(d))))
+    def test_expressions(self, case):
+        dim, expr = case
+        s = compile_expression(expr, dim)
+        _assert_lowest_terms(s)
+        forms = forms_table(expr, dim)
+        assert s.slopes == tuple(
+            reference_value_and_slope(expr, cone.interior_point(), dim, forms)[1]
+            for cone in s.fan.maximal_cones)
+        assert s.slopes == slopes_by_evaluation(
+            s.fan, lambda p: evaluate_expression(expr, p)).slopes
+
+    @settings(max_examples=40, deadline=None)
+    @given(nets(), st.fractions(-3, 3, max_denominator=6), st.data())
+    def test_decoded_documents(self, net, scale, data):
+        # a net's function times a rational plus a rational linear term,
+        # written as a {fan, slopes} document and decoded
+        base = support_of_network(net)
+        shift = data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                                   min_size=net.input_dim, max_size=net.input_dim))
+        doc = {"fan": encode_fan(base.fan),
+               "slopes": [encode_vector(vadd(vscale(scale, m), shift)) for m in base.slopes]}
+        s = decode_function(doc)
+        _assert_lowest_terms(s)
+        assert s.fan.maximal_cones == base.fan.maximal_cones  # provenance is not decoded
+        assert s.slopes == slopes_by_evaluation(
+            s.fan, lambda p: scale * evaluate(net, p) + vdot(shift, p)).slopes
+
+    def test_a_scale_that_cancels(self):
+        s = support_of_network(network([[[F(1, 2), 0]], [[2]]]))
+        assert s.denominator == 1 and set(s.covectors) == {(0, 0), (1, 0)}
+
+    def test_a_scale_that_stays(self):
+        s = support_of_network(network([[[F(1, 3), 0]], [[1]]]))
+        assert s.denominator == 3 and set(s.covectors) == {(0, 0), (1, 0)}

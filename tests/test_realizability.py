@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from relutoric import fan as fan_module, realizability
 from relutoric.cli import JobSpec, run_job
 from relutoric.errors import CriterionFailed, DimensionMismatch
-from relutoric.divisor import SupportFunction, support_of_network
+from relutoric.divisor import SupportFunction, support_of_network, support_on_fan
 from relutoric.exact_math import vdot
 from relutoric.expressions import (
     compile_expression,
@@ -258,15 +258,14 @@ class TestRandomRoundTrip:
     def test_linear_shift_invariance(self):
         # adding a linear term changes no wall number
         rng = random.Random(404)
-        from relutoric.divisor import SupportFunction
         from relutoric.exact_math import vadd
         for _ in range(6):
             net = rand_shallow_net(rng, 2, max_width=4)
             s = support_of_network(net)
             shift = (F(rng.randint(-5, 5), rng.randint(1, 5)),
                      F(rng.randint(-5, 5), rng.randint(1, 5)))
-            shifted = SupportFunction(
-                s.fan, tuple(vadd(m, shift) for m in s.slopes))
+            shifted = support_on_fan(
+                s.fan, [vadd(m, shift) for m in s.slopes])
             base = criterion_check(s)
             moved = criterion_check(shifted)
             assert ([g.numbers for g in base.groups]
@@ -367,9 +366,9 @@ def reference_transfer_support(s, fan):
     """The slopes of s moved onto `fan` by point location: each cell takes
     the slope of the lowest-indexed cone of s whose closure holds the
     cell's interior point."""
-    return SupportFunction(fan, tuple(
+    return support_on_fan(fan, [
         s.slopes[cone_containing(s.fan, cone.interior_point())]
-        for cone in fan.maximal_cones))
+        for cone in fan.maximal_cones])
 
 
 def reference_criterion_fan(s):
